@@ -1,7 +1,8 @@
 // Fit stage: cold core::RpcLearner::Fit on latent-curve data (Algorithm 1
 // with default options, GSS projection, full re-projection; 4 restarts on
-// nproc threads). Projection (opt) and normal-equation accumulation (core)
-// do almost all of the work; serving, streaming and durability do none.
+// nproc threads, or on one in the serial regime). Projection (opt) and
+// normal-equation accumulation (core) do almost all of the work; serving,
+// streaming and durability do none.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -42,7 +43,7 @@ constexpr int kTracedFits = 8;
 RpcLearnOptions StageOptions(const Config& config) {
   RpcLearnOptions options;
   options.restarts = 4;
-  options.num_threads = config.nproc;
+  options.num_threads = config.threads();
   return options;
 }
 
@@ -227,7 +228,7 @@ Matrix LatentSample(int d, int n, std::uint64_t seed) {
 FitInputs MakeFitInputs(const Config& config) {
   const Regime& regime = config.regime;
   FitInputs inputs;
-  inputs.alpha = rpc::order::Orientation::AllBenefit(regime.fit_dim);
+  inputs.alpha = rpc::order::Orientation::AllBenefit(kDim);
   inputs.rows = regime.fit_rows;
   for (int i = 0; i < regime.fit_datasets; ++i) {
     inputs.dataset_seeds.push_back(DeriveSeed(config.seed, 1000 + i));
@@ -276,9 +277,8 @@ void FitStage::RunRound(int round, Report* report) {
 }
 
 void FitStage::Finish(Report* report) {
-  // The median over datasets: a few datasets run to the 300-iteration cap
-  // (about 2 in 32 at d=32, 50x the typical fit), so a mean would follow
-  // how many of them a seed happens to draw.
+  // The median over datasets: a fit takes 2 to 4 outer iterations by its
+  // data, so a mean would follow how many long ones a seed happens to draw.
   report->Metric("fit_s", Median(seconds_), "s");
   report->Metric("fit_explained_variance", Mean(explained_), "1");
   std::printf("# fit: %zu datasets, n=%d d=%d, mean %.4f s, iterations per "

@@ -30,22 +30,17 @@ std::string JsonString(const std::string& text) {
 
 bool LookupRegime(const std::string& workload, bool tiny, Regime* regime) {
   Regime r;
-  if (workload == "wide") {
-    // The same number of cells as the paper regime at every stage, in
-    // rows eight times as wide.
-    r.fit_dim = 32;
-    r.fit_rows = 12500;
-    r.paper_tables = false;
-    r.serve_dim = 32;
-    r.stream_dim = 32;
-    r.stream_initial_rows = 2500;
+  if (workload == "serial") {
+    // A one-thread fit takes about four times as long.
+    r.serial = true;
+    r.fit_datasets = 12;
   } else if (workload != "paper") {
     return false;
   }
   if (tiny) {
-    r.fit_rows = r.fit_dim == 4 ? 2000 : 500;
+    r.fit_rows = 2000;
     r.fit_datasets = 2;
-    r.shard_train_rows = 512;
+    r.bulk_rows = 512;
     r.stream_initial_rows = 400;
     r.stream_appends = 300;
     r.refresh_every_rows = 100;

@@ -19,6 +19,9 @@ namespace perfbench {
 
 using Clock = std::chrono::steady_clock;
 
+/// Width of the fit and stream rows: the paper's d=4 latent-curve data.
+inline constexpr int kDim = 4;
+
 inline double Seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
 }
@@ -26,30 +29,28 @@ inline double SecondsSince(Clock::time_point from) {
   return Seconds(from, Clock::now());
 }
 
-/// The inputs one workload feeds the system. Every run executes the same
-/// three stages (cold fit, serving, streaming with durability and
-/// replication); a regime fixes the data shapes those stages see.
+/// What one workload runs. Every run executes the same three stages (cold
+/// fit, serving, streaming with durability and replication) on inputs of
+/// the same shapes; a regime fixes how many threads the fit and serve
+/// stages use and how much work each stage does.
 struct Regime {
-  // Fit stage: `fit_datasets` latent-curve datasets of fit_rows x fit_dim.
-  int fit_dim = 4;
+  // Fit and serve on one thread instead of nproc: fits run their restarts
+  // in turn, and the service runs every query inline on its caller.
+  bool serial = false;
+  // Fit stage: `fit_datasets` latent-curve datasets of fit_rows x kDim.
   int fit_rows = 100000;
   int fit_datasets = 32;
-  // Serve stage: two point shards and one bulk shard. The paper regime
-  // serves the country (d=4) and journal (d=5) tables as point shards.
-  // Latent-curve shards are fitted on shard_train_rows rows; the bulk
-  // queries score all of them.
-  bool paper_tables = true;
-  int serve_dim = 4;
-  int shard_train_rows = 4096;
+  // Serve stage: the bulk shard is fitted on bulk_rows rows, and each bulk
+  // query scores as many.
+  int bulk_rows = 4096;
   // Stream stage.
-  int stream_dim = 4;
   int stream_initial_rows = 20000;
   // One stream pass (a run makes one per round).
-  int stream_appends = 6000;
+  int stream_appends = 3000;
   int refresh_every_rows = 750;
   int forced_refreshes = 3;
   int refresh_batch_rows = 200;
-  int recoveries = 3;
+  int recoveries = 2;
   int failovers = 2;
   int failover_lag_rows = 200;
 };
@@ -69,6 +70,9 @@ struct Config {
   std::string commit = "unknown";
   int nproc = 1;
   Regime regime;
+
+  /// Threads of the fit stage's learner and of the serve stage's service.
+  int threads() const { return regime.serial ? 1 : nproc; }
 };
 
 /// Metrics, operation accounting and correctness verdicts of one run.
@@ -166,6 +170,12 @@ void QuiesceDisk(const std::string& dir);
 /// Deterministic per-purpose seeds derived from the run seed, so every
 /// input of a run follows from --seed alone.
 std::uint64_t DeriveSeed(std::uint64_t seed, std::uint64_t purpose);
+
+/// The seed the set-up data (the served shards' training rows and the
+/// stream's initial rows) is drawn from instead of --seed: the set-up fits'
+/// iteration counts follow their data, and drawn per run they spread set-up
+/// time by a quarter. --seed draws everything the timed stages consume.
+inline constexpr std::uint64_t kSetupSeed = 20160516;
 
 /// Elapsed-time budget of one measured phase: `share` of --seconds.
 inline double Budget(const Config& config, double share) {

@@ -1,10 +1,10 @@
 // perfbench: the repository benchmark binary. One run sets the system up
-// (three times; the median is setup_s), then interleaves the fit, serve
+// (five times; the median is setup_s), then interleaves the fit, serve
 // and stream stages in rounds on the inputs of one workload regime, checks
 // their outputs, and prints a fingerprint/accounting line and a result
 // line. run.py builds it and selects the metrics BENCHMARK.json names.
 //
-//   perfbench --workload paper|wide --seed N --seconds S --trace 0|1
+//   perfbench --workload paper|serial --seed N --seconds S --trace 0|1
 //             --work-dir DIR [--commit ID] [--tiny]
 #include <sys/statfs.h>
 
@@ -30,7 +30,7 @@
 namespace perfbench {
 namespace {
 
-constexpr int kSetups = 3;
+constexpr int kSetups = 5;
 // statfs f_type of tmpfs.
 constexpr long kTmpfsMagic = 0x01021994;
 
@@ -165,8 +165,9 @@ int main(int argc, char** argv) {
   perfbench::Config config;
   if (!perfbench::ParseArgs(argc, argv, &config)) {
     std::fprintf(stderr,
-                 "usage: perfbench --workload paper|wide --seed N --seconds S "
-                 "--trace 0|1 --work-dir DIR [--commit ID] [--tiny]\n");
+                 "usage: perfbench --workload paper|serial --seed N "
+                 "--seconds S --trace 0|1 --work-dir DIR [--commit ID] "
+                 "[--tiny]\n");
     return 2;
   }
   config.nproc =

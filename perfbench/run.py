@@ -2,7 +2,7 @@
 """Repository benchmark: builds perfbench against this checkout's library
 sources, runs one workload and prints its result.
 
-  python3 perfbench/run.py --workload paper|wide --seed N --seconds S \\
+  python3 perfbench/run.py --workload paper|serial --seed N --seconds S \\
       --trace 0|1 [--tiny]
 
 Run it from anywhere; paths resolve against the checkout root. The build

@@ -1,13 +1,15 @@
-// Serve stage: one serve::RankingService with num_threads = nproc holding
-// two point shards and one bulk shard, driven by closed-loop callers in
-// phases that never overlap (running bulk beside point traffic swung point
-// throughput between 91k and 160k queries/s):
-//   point  nproc/2 callers, batch=1 queries alternating between the point
-//          shards — the single-segment path where admission, queue and
-//          wake-up costs dominate;
-//   bulk   1 caller scoring the bulk shard's 4096 training rows per query
-//          at kBatch priority — the multi-segment, pool-parallel block
-//          path where projection kernels dominate;
+// Serve stage: one serve::RankingService with num_threads = nproc (1 in the
+// serial regime, which runs every query inline on its caller) holding
+// the country (d=4) and journal (d=5) tables as point shards and a d=32
+// bulk shard, driven by closed-loop callers in phases that never overlap
+// (running bulk beside point traffic swung point throughput between 91k and
+// 160k queries/s):
+//   point  nproc/2 callers (1 when serial), batch=1 queries alternating
+//          between the point shards — the single-segment path where
+//          admission, queue and wake-up costs dominate;
+//   bulk   1 caller scoring 4096 d=32 rows per query at kBatch priority —
+//          the multi-segment, pool-parallel SIMD block path where
+//          projection kernels dominate;
 //   inline (traced runs) the point traffic on a num_threads=1 service with
 //          one caller, the reference the point scaling is read against.
 #include <algorithm>
@@ -33,8 +35,14 @@ using rpc::serve::QueryOptions;
 using rpc::serve::QueryPriority;
 using rpc::serve::RankingService;
 
+// Width of the bulk shard's rows.
+constexpr int kBulkDim = 32;
 // Untimed queries each caller sends before a timed phase opens.
 constexpr int kWarmupQueries = 2000;
+// Shares of --seconds the point and bulk phases run for, over all rounds;
+// the fit and stream stages do a fixed amount of work.
+constexpr double kPointShare = 0.6;
+constexpr double kBulkShare = 0.1;
 // Each round's timed phase is cut into this many equal windows.
 constexpr int kWindowsPerRound = 8;
 
@@ -75,10 +83,11 @@ struct PointResult {
 };
 
 // `callers` closed-loop threads, each sending batch=1 queries that
-// alternate between the two point shards, for `seconds`. Every answer is
-// compared with the in-process score of its row.
+// alternate between the two point shards, for `seconds`, from a row the
+// seed picks. Every answer is compared with the in-process score of its row.
 PointResult RunPoint(const RankingService& service, const ServeInputs& in,
-                     int callers, double seconds, bool traced) {
+                     int callers, double seconds, std::uint64_t seed,
+                     bool traced) {
   std::vector<PointResult> parts(static_cast<size_t>(callers));
   const double window_s = seconds / kWindowsPerRound;
   for (PointResult& part : parts) part.windows = MakeWindows(window_s);
@@ -88,7 +97,7 @@ PointResult RunPoint(const RankingService& service, const ServeInputs& in,
   auto caller = [&](int c) {
     PinThisThread(c);
     PointResult& part = parts[static_cast<size_t>(c)];
-    std::int64_t q = c * 7919;
+    std::int64_t q = static_cast<std::int64_t>(DeriveSeed(seed, 30 + c) >> 2);
     auto one = [&](bool record) {
       const ServeShard& shard = in.point[q & 1];
       const size_t row = static_cast<size_t>((q >> 1) %
@@ -264,16 +273,17 @@ void PointProjection(const ServeShard& shard, double* ns_per_row,
   report->Check(std::isfinite(sink), "serve: point projections are finite");
 }
 
-// Seconds per ProjectBlock sweep of the whole bulk pool (median of 5) under
-// the active SIMD backend, writing the scores to *scores.
-double BlockSweepSeconds(const Projected& p, std::vector<double>* scores,
-                         std::int64_t* evals) {
+// Seconds per ProjectBlock sweep of a shard's whole pool (median of
+// `repeats`) under the active SIMD backend, writing the scores to *scores
+// and the objective evaluations of the first and the last sweep to evals.
+double BlockSweepSeconds(const Projected& p, int repeats,
+                         std::vector<double>* scores, std::int64_t* evals) {
   rpc::opt::ProjectionWorkspace workspace;
   workspace.Bind(p.curve, rpc::opt::ProjectionOptions());
   const int n = p.normalized.rows();
   scores->assign(static_cast<size_t>(n), 0.0);
   std::vector<double> seconds;
-  for (int r = 0; r < 5; ++r) {
+  for (int r = 0; r < repeats; ++r) {
     workspace.ResetEvaluationCounts();
     const auto t0 = Clock::now();
     workspace.ProjectBlock(p.normalized.RowPtr(0), n, p.normalized.cols(),
@@ -284,40 +294,63 @@ double BlockSweepSeconds(const Projected& p, std::vector<double>* scores,
   return Median(seconds);
 }
 
-void MeasureProbes(const ServeInputs& in, Report* report) {
-  double ns[2], evals[2];
-  for (int k = 0; k < 2; ++k) {
-    PointProjection(in.point[k], &ns[k], &evals[k], report);
-  }
-  // The point traffic alternates between the two shards.
-  report->Metric("opt.point_project_ns", (ns[0] + ns[1]) / 2, "ns");
-  report->Metric("opt.point_evals_per_row", (evals[0] + evals[1]) / 2,
-                 "evals/row");
+struct BlockProbe {
+  double rows_per_s = 0.0;
+  double evals_per_row = 0.0;
+  // Scalar-backend sweep time over active-backend sweep time.
+  double simd_speedup = 1.0;
+};
 
-  const Projected bulk = Normalized(in.bulk);
-  const int n = bulk.normalized.rows();
+// The block sweep of a shard's pool under the active backend and under
+// curve::SetSimdBackend(kScalar), which must agree bit for bit.
+BlockProbe ProbeBlock(const ServeShard& shard, int repeats, Report* report) {
+  const Projected p = Normalized(shard);
+  const int n = p.normalized.rows();
   std::vector<double> active_scores, scalar_scores;
   std::int64_t active_evals[2], scalar_evals[2];
   const double active_s =
-      BlockSweepSeconds(bulk, &active_scores, active_evals);
+      BlockSweepSeconds(p, repeats, &active_scores, active_evals);
   report->Check(active_evals[0] == active_evals[1],
-                "serve: bulk objective evaluations repeat exactly");
-  report->Metric("opt.bulk_project_rows_per_s", n / active_s, "rows/s");
-  report->Metric("opt.bulk_evals_per_row",
-                 static_cast<double>(active_evals[0]) / n, "evals/row");
-
+                "serve: " + shard.id +
+                    " block objective evaluations repeat exactly");
+  BlockProbe probe;
+  probe.rows_per_s = n / active_s;
+  probe.evals_per_row = static_cast<double>(active_evals[0]) / n;
   const rpc::curve::SimdBackendKind active = rpc::curve::ActiveSimdKind();
-  double scalar_s = active_s;
   if (active != rpc::curve::SimdBackendKind::kScalar &&
       rpc::curve::SetSimdBackend(rpc::curve::SimdBackendKind::kScalar)) {
-    scalar_s = BlockSweepSeconds(bulk, &scalar_scores, scalar_evals);
+    const double scalar_s =
+        BlockSweepSeconds(p, repeats, &scalar_scores, scalar_evals);
     rpc::curve::SetSimdBackend(active);
     report->Check(scalar_scores == active_scores &&
                       scalar_evals[0] == active_evals[0],
-                  "serve: active SIMD backend is bit-identical to scalar");
+                  "serve: " + shard.id +
+                      " active SIMD backend is bit-identical to scalar");
+    probe.simd_speedup = scalar_s / active_s;
   }
-  report->Metric("curve.simd_speedup", scalar_s / active_s, "x");
+  return probe;
+}
 
+void MeasureProbes(const ServeInputs& in, Report* report) {
+  // The point shards are d=4 (countries) and d=5 (journals).
+  for (int k = 0; k < 2; ++k) {
+    double ns = 0.0, evals = 0.0;
+    PointProjection(in.point[k], &ns, &evals, report);
+    const std::string suffix = k == 0 ? "_d4" : "_d5";
+    report->Metric("opt.point_project_ns" + suffix, ns, "ns");
+    report->Metric("opt.evals_per_row" + suffix, evals, "evals/row");
+  }
+
+  const BlockProbe bulk = ProbeBlock(in.bulk, 5, report);
+  report->Metric("opt.bulk_project_rows_per_s_d32", bulk.rows_per_s,
+                 "rows/s");
+  report->Metric("opt.evals_per_row_d32", bulk.evals_per_row, "evals/row");
+  report->Metric("curve.simd_speedup_d32", bulk.simd_speedup, "x");
+  // The country pool is a few hundred rows, so its sweep repeats more.
+  report->Metric("curve.simd_speedup_d4",
+                 ProbeBlock(in.point[0], 101, report).simd_speedup, "x");
+
+  const int n = in.bulk.pool.rows();
   const auto normalizer = rpc::data::Normalizer::FromBounds(
       in.bulk.model.mins, in.bulk.model.maxs);
   std::vector<double> seconds;
@@ -332,8 +365,10 @@ void MeasureProbes(const ServeInputs& in, Report* report) {
 }
 
 // Closed-loop point callers: half the CPUs, so callers and pool workers
-// fit the cores.
-int Callers(const Config& config) { return std::max(1, config.nproc / 2); }
+// fit the cores; one on an inline service.
+int Callers(const Config& config) {
+  return config.regime.serial ? 1 : std::max(1, config.nproc / 2);
+}
 
 // Queries block for admission and carry no deadline, so the service must
 // neither shed nor expire one; a refused query also fails its Query call
@@ -351,53 +386,46 @@ void CheckNothingRefused(const RankingService& service,
 
 std::unique_ptr<ServeInputs> MakeServeInputs(const Config& config,
                                              Report* report) {
-  const Regime& regime = config.regime;
   auto in = std::make_unique<ServeInputs>();
   rpc::core::RpcLearnOptions options;
   options.num_threads = 1;
-  // Shards fit in a few outer iterations, but some d=32 datasets (2 of
-  // the fit stage's 32) never meet the tolerance and run to the default
-  // 300-iteration cap; a lower cap keeps set-up time from following the
-  // seed.
+  // A few d=32 datasets never meet the tolerance and would run to the
+  // default 300-iteration cap.
   options.max_iterations = 50;
-  auto fit = [&](const std::string& id, const Matrix& raw,
+  // Each shard is fitted on set-up data and queried with rows drawn from
+  // the run seed.
+  auto fit = [&](const std::string& id, const Matrix& train,
                  const rpc::order::Orientation& alpha, Matrix pool,
                  ServeShard* out) {
-    const auto ranker = rpc::core::RpcRanker::Fit(raw, alpha, options);
+    const auto ranker = rpc::core::RpcRanker::Fit(train, alpha, options);
     report->Ops("serve.setup_fit", 1, ranker.ok() ? 0 : 1);
     report->Check(ranker.ok(), "serve: shard " + id + " fits");
     if (ranker.ok()) *out = MakeShard(id, *ranker, std::move(pool));
   };
-  if (regime.paper_tables) {
-    const auto countries = rpc::data::GenerateCountryData(
-                               171, DeriveSeed(config.seed, 11), true)
-                               .FilterCompleteRows();
-    const auto journals = rpc::data::GenerateJournalData(
-                              451, 58, DeriveSeed(config.seed, 12), true)
-                              .FilterCompleteRows();
-    fit("countries", countries.values(),
-        *rpc::order::Orientation::FromSigns({+1, +1, -1, -1}),
-        countries.values(), &in->point[0]);
-    fit("journals", journals.values(),
-        rpc::order::Orientation::AllBenefit(5), journals.values(),
-        &in->point[1]);
-  } else {
-    for (int k = 0; k < 2; ++k) {
-      const Matrix raw =
-          LatentSample(regime.serve_dim, regime.shard_train_rows,
-                       DeriveSeed(config.seed, 11 + k));
-      fit(k == 0 ? "point_a" : "point_b", raw,
-          rpc::order::Orientation::AllBenefit(regime.serve_dim),
-          FirstRows(raw, std::min(512, raw.rows())), &in->point[k]);
-    }
-  }
-  const Matrix bulk_raw = LatentSample(
-      regime.serve_dim, regime.shard_train_rows, DeriveSeed(config.seed, 13));
-  fit("bulk", bulk_raw, rpc::order::Orientation::AllBenefit(regime.serve_dim),
-      bulk_raw, &in->bulk);
+  auto countries = [](std::uint64_t seed) {
+    return rpc::data::GenerateCountryData(171, seed, true)
+        .FilterCompleteRows()
+        .values();
+  };
+  auto journals = [](std::uint64_t seed) {
+    return rpc::data::GenerateJournalData(451, 58, seed, true)
+        .FilterCompleteRows()
+        .values();
+  };
+  fit("countries", countries(DeriveSeed(kSetupSeed, 11)),
+      *rpc::order::Orientation::FromSigns({+1, +1, -1, -1}),
+      countries(DeriveSeed(config.seed, 11)), &in->point[0]);
+  fit("journals", journals(DeriveSeed(kSetupSeed, 12)),
+      rpc::order::Orientation::AllBenefit(5),
+      journals(DeriveSeed(config.seed, 12)), &in->point[1]);
+  const int bulk_rows = config.regime.bulk_rows;
+  fit("bulk", LatentSample(kBulkDim, bulk_rows, DeriveSeed(kSetupSeed, 13)),
+      rpc::order::Orientation::AllBenefit(kBulkDim),
+      LatentSample(kBulkDim, bulk_rows, DeriveSeed(config.seed, 13)),
+      &in->bulk);
 
   RankingService::Options service_options;
-  service_options.num_threads = config.nproc;
+  service_options.num_threads = config.threads();
   in->service = std::make_unique<RankingService>(service_options);
   for (const ServeShard* shard : {&in->point[0], &in->point[1], &in->bulk}) {
     const rpc::Status registered =
@@ -416,20 +444,18 @@ void Windows::Append(const Windows& other) {
                     other.latency_us.end());
 }
 
-double Windows::QuietRate() const {
-  std::vector<double> rates;
-  for (const std::int64_t count : completed) {
-    rates.push_back(count / window_s);
-  }
-  return Quantile(&rates, 0.9);
+double Windows::Rate() const {
+  std::int64_t total = 0;
+  for (const std::int64_t count : completed) total += count;
+  return total / (window_s * static_cast<double>(completed.size()));
 }
 
-double Windows::QuietLatency(double q) const {
-  std::vector<double> per_window;
-  for (std::vector<double> samples : latency_us) {
-    if (!samples.empty()) per_window.push_back(Quantile(&samples, q));
+double Windows::Latency(double q) const {
+  std::vector<double> all;
+  for (const std::vector<double>& samples : latency_us) {
+    all.insert(all.end(), samples.begin(), samples.end());
   }
-  return Quantile(&per_window, 0.1);
+  return Quantile(&all, q);
 }
 
 ServeStage::ServeStage(const Config& config, ServeInputs* inputs)
@@ -439,10 +465,11 @@ void ServeStage::RunRound(int round, Report* report) {
   const RankingService& service = *in_->service;
   if (round == 0) VerifyShards(service, *in_, "before", report);
   const auto stats_before = service.stats();
-  const PointResult point = RunPoint(service, *in_, Callers(config_),
-                                     Budget(config_, 0.4) / kRounds, false);
-  const BulkResult bulk =
-      RunBulk(service, in_->bulk, Budget(config_, 0.1) / kRounds, false);
+  const PointResult point = RunPoint(
+      service, *in_, Callers(config_), Budget(config_, kPointShare) / kRounds,
+      DeriveSeed(config_.seed, round), false);
+  const BulkResult bulk = RunBulk(
+      service, in_->bulk, Budget(config_, kBulkShare) / kRounds, false);
   CheckNothingRefused(service, stats_before, report);
   report->Ops("serve.point", point.completed + point.failed, point.failed);
   report->Ops("serve.bulk", bulk.completed + bulk.failed, bulk.failed);
@@ -456,16 +483,12 @@ void ServeStage::RunRound(int round, Report* report) {
 void ServeStage::Finish(Report* report) {
   const RankingService& service = *in_->service;
   VerifyShards(service, *in_, "after", report);
-  // Figures come from the quietest tenth of the windows (and of the bulk
-  // queries): neighbours on a shared virtual machine halve throughput and
-  // double p99 in episodes of seconds, which covered from none to three
-  // quarters of a run's windows.
-  const double point_qps = point_.QuietRate();
+  // Point figures pool every query of the run; bulk is the median query.
+  const double point_qps = point_.Rate();
   report->Metric("point_qps", point_qps, "1/s");
-  report->Metric("point_p50_us", point_.QuietLatency(0.50), "us");
-  report->Metric("point_p99_us", point_.QuietLatency(0.99), "us");
-  report->Metric("bulk_rows_per_s", Quantile(&bulk_rows_per_s_, 0.9),
-                 "rows/s");
+  report->Metric("point_p50_us", point_.Latency(0.50), "us");
+  report->Metric("point_p99_us", point_.Latency(0.99), "us");
+  report->Metric("bulk_rows_per_s", Median(bulk_rows_per_s_), "rows/s");
   std::printf("# serve: point %d closed-loop callers, bulk batches of %d "
               "rows; point queries/s per window:",
               Callers(config_), in_->bulk.pool.rows());
@@ -482,10 +505,11 @@ void ServeStage::Finish(Report* report) {
 
   rpc::obs::SetTracingEnabled(true);
   const auto traced_before = service.stats();
-  const PointResult traced_point = RunPoint(
-      service, *in_, Callers(config_), Budget(config_, 0.4), true);
+  const PointResult traced_point =
+      RunPoint(service, *in_, Callers(config_), Budget(config_, kPointShare),
+               DeriveSeed(config_.seed, 0), true);
   const BulkResult traced_bulk =
-      RunBulk(service, in_->bulk, Budget(config_, 0.1), true);
+      RunBulk(service, in_->bulk, Budget(config_, kBulkShare), true);
   CheckNothingRefused(service, traced_before, report);
   report->Ops("serve.traced.point",
               traced_point.completed + traced_point.failed,
@@ -500,7 +524,7 @@ void ServeStage::Finish(Report* report) {
   std::vector<double> execution_us = traced_point.execution_us;
   std::vector<double> bulk_admission_us = traced_bulk.admission_us;
   report->Metric("obs.trace_overhead_pct",
-                 (point_qps - traced_point.windows.QuietRate()) /
+                 (point_qps - traced_point.windows.Rate()) /
                      point_qps * 100.0,
                  "%");
   report->Metric("serve.admission_wait_p50_us",
@@ -523,12 +547,13 @@ void ServeStage::Finish(Report* report) {
                   "serve: inline service registers " + shard->id);
   }
   const PointResult inline_point =
-      RunPoint(inline_service, *in_, 1, Budget(config_, 0.1), false);
+      RunPoint(inline_service, *in_, 1, Budget(config_, 0.1),
+               DeriveSeed(config_.seed, 0), false);
   report->Ops("serve.inline", inline_point.completed + inline_point.failed,
               inline_point.failed);
   report->Check(inline_point.mismatches == 0,
                 "serve: every inline answer equals PortableRpcModel::Score");
-  const double inline_qps = inline_point.windows.QuietRate();
+  const double inline_qps = inline_point.windows.Rate();
   report->Metric("serve.inline_point_qps", inline_qps, "1/s");
   report->Metric("serve.point_scaling", point_qps / inline_qps, "x");
 

@@ -27,7 +27,7 @@
 namespace perfbench {
 
 /// Rounds a run interleaves its stages in.
-inline constexpr int kRounds = 4;
+inline constexpr int kRounds = 8;
 
 // ------------------------------------------------------------------ fit --
 
@@ -90,25 +90,26 @@ struct ServeShard {
 struct ServeInputs {
   ServeShard point[2];
   ServeShard bulk;
-  /// The service under test, num_threads = nproc.
+  /// The service under test, num_threads = Config::threads().
   std::unique_ptr<rpc::serve::RankingService> service;
 };
 
 std::unique_ptr<ServeInputs> MakeServeInputs(const Config& config,
                                              Report* report);
 
-/// Per-window tallies of the timed point phase: its figures are read from
-/// the quietest windows (see ServeStage::Finish).
+/// Per-window tallies of the timed point phase. The figures pool every
+/// window; the per-window tallies go into the run's log.
 struct Windows {
   std::vector<std::int64_t> completed;
   std::vector<std::vector<double>> latency_us;
   double window_s = 0.0;
 
   void Append(const Windows& other);
-  /// The 90th percentile of the windows' query rates.
-  double QuietRate() const;
-  /// The 10th percentile of the windows' latency quantile q.
-  double QuietLatency(double q) const;
+  /// Completed queries per second over every window.
+  double Rate() const;
+  /// Latency quantile q over every query; a failed query is an infinite
+  /// latency.
+  double Latency(double q) const;
 };
 
 class ServeStage {

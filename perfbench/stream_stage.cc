@@ -110,10 +110,9 @@ void TimedAppend(StreamInputs* in, bool traced, std::vector<double>* us,
 }
 
 // The ingest runs in blocks of refresh_every_rows appends, each ended by a
-// Flush (the durable ack), so every block carries one policy refresh; the
-// block rates' median is the ingest rate, and the median of the blocks'
-// reader p99 the read latency, which keeps one stalled block from setting
-// the run's figure.
+// Flush (the durable ack), so every block carries one policy refresh. The
+// median of the blocks' reader p99 is the read latency, which keeps one
+// stalled block from setting the run's figure.
 void RunIngest(const Regime& regime, StreamInputs* in, bool traced,
                StreamPass* out, Report* report) {
   StreamingRanker& ranker = *in->ranker;
@@ -214,7 +213,7 @@ void RunIngest(const Regime& regime, StreamInputs* in, bool traced,
 // refresh (all rows so far, the snapshot's live bounds, remapped control
 // points and warm scores); returns its seconds and its control points.
 double RefitByHand(StreamInputs* in, const StreamingRanker::Snapshot& state,
-                   Matrix* control, Report* report) {
+                   bool traced, Matrix* control, Report* report) {
   const auto normalizer =
       rpc::data::Normalizer::FromBounds(state.live_mins, state.live_maxs);
   if (!normalizer.ok()) {
@@ -228,7 +227,7 @@ double RefitByHand(StreamInputs* in, const StreamingRanker::Snapshot& state,
       state.model.control_points, state.model.mins, state.model.maxs,
       normalizer->mins(), normalizer->maxs());
   seed.scores = state.scores;
-  TraceScope scope(true, "core.RpcLearner.Refit");
+  TraceScope scope(traced, "core.RpcLearner.Refit");
   rpc::core::RpcLearnOptions options = in->ranker->warm_options();
   options.trace_id = scope.trace_id();
   const auto t0 = Clock::now();
@@ -252,10 +251,8 @@ void RunRefreshes(const Regime& regime, StreamInputs* in, bool traced,
     report->Ops("stream.append", regime.refresh_batch_rows, append_failed);
     report->Check(ranker.Flush().ok(), "stream: flush before refresh");
     Matrix hand_control;
-    if (traced) {
-      out->refit_s.push_back(
-          RefitByHand(in, ranker.snapshot(), &hand_control, report));
-    }
+    out->refit_s.push_back(
+        RefitByHand(in, ranker.snapshot(), traced, &hand_control, report));
     rpc::Status refreshed;
     const auto t0 = Clock::now();
     {
@@ -265,12 +262,10 @@ void RunRefreshes(const Regime& regime, StreamInputs* in, bool traced,
     out->refresh_s.push_back(SecondsSince(t0));
     if (!refreshed.ok()) ++failed;
     CheckServedEqualsSnapshot(in, "after a forced refresh", report);
-    if (traced) {
-      report->Check(rpc::linalg::ApproxEqual(
-                        hand_control,
-                        ranker.snapshot().model.control_points, 0.0),
-                    "stream: a refresh equals Refit by hand on its state");
-    }
+    report->Check(rpc::linalg::ApproxEqual(
+                      hand_control, ranker.snapshot().model.control_points,
+                      0.0),
+                  "stream: a refresh equals Refit by hand on its state");
   }
   report->Ops("stream.force_refresh", regime.forced_refreshes, failed);
 }
@@ -493,16 +488,24 @@ std::unique_ptr<StreamInputs> MakeStreamInputs(const Config& config,
                                                const std::string& dir,
                                                Report* report) {
   const Regime& regime = config.regime;
-  const int d = regime.stream_dim;
+  const int d = kDim;
   auto in = std::make_unique<StreamInputs>();
   in->dir = dir;
   RemoveTree(dir);
   std::filesystem::create_directories(dir + "/primary");
   in->alpha = rpc::order::Orientation::AllBenefit(d);
-  const int total = regime.stream_initial_rows + regime.stream_appends +
-                    regime.forced_refreshes * regime.refresh_batch_rows +
-                    regime.failovers * regime.failover_lag_rows;
-  in->rows = LatentSample(d, total, DeriveSeed(config.seed, 21));
+  // The ranker starts on set-up rows; the rows it is fed come from the
+  // run seed.
+  const int initial = regime.stream_initial_rows;
+  const int fed = regime.stream_appends +
+                  regime.forced_refreshes * regime.refresh_batch_rows +
+                  regime.failovers * regime.failover_lag_rows;
+  const Matrix start_rows =
+      LatentSample(d, initial, DeriveSeed(kSetupSeed, 21));
+  const Matrix fed_rows = LatentSample(d, fed, DeriveSeed(config.seed, 21));
+  in->rows = Matrix(initial + fed, d);
+  for (int i = 0; i < initial; ++i) in->rows.SetRow(i, start_rows.Row(i));
+  for (int i = 0; i < fed; ++i) in->rows.SetRow(initial + i, fed_rows.Row(i));
   in->probe = LatentSample(d, 256, DeriveSeed(config.seed, 22));
   StreamingRankerOptions& options = in->options;
   options.num_threads = 1;
@@ -523,9 +526,8 @@ std::unique_ptr<StreamInputs> MakeStreamInputs(const Config& config,
   in->service = InlineService();
   in->ranker = std::make_unique<StreamingRanker>(in->service.get(),
                                                  kStreamDataset, options);
-  const rpc::Status started = in->ranker->Start(
-      FirstRows(in->rows, regime.stream_initial_rows), in->alpha);
-  in->next_row = regime.stream_initial_rows;
+  const rpc::Status started = in->ranker->Start(start_rows, in->alpha);
+  in->next_row = initial;
   report->Ops("stream.start", 1, started.ok() ? 0 : 1);
   report->Check(started.ok(), "stream: ranker starts");
   return in;
@@ -548,12 +550,15 @@ void StreamStage::RunRound(int round, Report* report) {
 }
 
 void StreamStage::Finish(Report* report) {
-  // Every round's blocks and repetitions are pooled and the figures read
-  // from the quietest tenth, as the serve stage's windows are: a round
-  // lasts about two seconds and sits inside or outside one neighbour
-  // episode as a whole.
+  // The ingest rate is every round's appends over the time from each
+  // block's first Append to its acking Flush. Refresh and recovery are the
+  // medians of every round's repetitions.
   std::vector<double> ingest, refresh, recover;
+  double ingest_seconds = 0.0;
   for (const StreamPass& pass : passes_) {
+    for (const double rate : pass.block_rows_per_s) {
+      ingest_seconds += config_.regime.refresh_every_rows / rate;
+    }
     ingest.insert(ingest.end(), pass.block_rows_per_s.begin(),
                   pass.block_rows_per_s.end());
     refresh.insert(refresh.end(), pass.refresh_s.begin(),
@@ -575,9 +580,12 @@ void StreamStage::Finish(Report* report) {
   print("ingest rows/s per block", ingest, 1.0);
   print("refresh ms", refresh, 1e3);
   print("recover ms", recover, 1e3);
-  report->Metric("ingest_rows_per_s", Quantile(&ingest, 0.9), "rows/s");
-  report->Metric("refresh_s", Quantile(&refresh, 0.1), "s");
-  report->Metric("recover_s", Quantile(&recover, 0.1), "s");
+  report->Metric("ingest_rows_per_s",
+                 static_cast<double>(ingest.size()) *
+                     config_.regime.refresh_every_rows / ingest_seconds,
+                 "rows/s");
+  report->Metric("refresh_s", Median(refresh), "s");
+  report->Metric("recover_s", Median(recover), "s");
 
   if (!config_.trace) return;
 
@@ -627,8 +635,7 @@ void StreamStage::Finish(Report* report) {
   report->Metric("stream.read_p99_us", Median(traced.block_read_p99_us),
                  "us");
   report->Metric("replica.failover_s", Median(traced.failover_s), "s");
-  MeasureSync(config_, config_.work_dir + "/sync-probe",
-              config_.regime.stream_dim, report);
+  MeasureSync(config_, config_.work_dir + "/sync-probe", kDim, report);
 }
 
 }  // namespace perfbench

@@ -185,7 +185,7 @@ int main(int argc, char** argv) {
   const char* sink_path = quick ? "BENCH_serving_throughput.quick.json"
                                 : "BENCH_serving_throughput.json";
   std::FILE* sink = std::fopen(sink_path, "w");
-  std::printf("# serving throughput (GSS, grid=32); %d hardware thread(s); "
+  std::printf("# serving throughput (Newton, grid=32); %d hardware thread(s); "
               "JSON also in %s\n",
               pool_threads, sink_path);
 

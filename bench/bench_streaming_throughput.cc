@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
   const char* sink_path = quick ? "BENCH_streaming_throughput.quick.json"
                                 : "BENCH_streaming_throughput.json";
   std::FILE* sink = std::fopen(sink_path, "w");
-  std::printf("# streaming ingest + warm-refresh latency (GSS, d=%d); "
+  std::printf("# streaming ingest + warm-refresh latency (Newton, d=%d); "
               "JSON also in %s\n", d, sink_path);
 
   const int mismatches = VerifyBitIdentity(alpha);

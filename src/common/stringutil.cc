@@ -1,6 +1,7 @@
 #include "common/stringutil.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -43,6 +44,8 @@ bool ParseDouble(std::string_view text, double* out) {
   char* end = nullptr;
   const double value = std::strtod(buffer.c_str(), &end);
   if (end != buffer.c_str() + buffer.size()) return false;
+  // "nan", "inf" and overflowing literals parse, but no caller can use them.
+  if (!std::isfinite(value)) return false;
   *out = value;
   return true;
 }

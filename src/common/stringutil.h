@@ -13,7 +13,8 @@ std::vector<std::string> Split(std::string_view text, char delim);
 /// Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view text);
 
-/// Parses a double; returns false on empty/garbage/partial input.
+/// Parses a finite double; returns false on empty/garbage/partial input and
+/// on "nan", "inf" or a literal that overflows to infinity.
 bool ParseDouble(std::string_view text, double* out);
 
 /// printf-style formatting into a std::string.

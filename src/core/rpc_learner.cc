@@ -321,10 +321,11 @@ Result<RpcFitResult> RpcLearner::FitOnce(const Matrix& normalized_data,
   int iter = 0;
   bool rolled_back = false;
   for (; iter < options_.max_iterations; ++iter) {
-    // Step 4: projection indices s^(t) (GSS or the quintic alternative),
-    // fanned out across the pool by the batch engine — or warm-started from
-    // the previous iteration's s* by the incremental projector (which
-    // writes into the same score buffer every iteration).
+    // Step 4: projection indices s^(t) (Newton by default; GSS as the
+    // Algorithm 1 reference, or the quintic roots), fanned out across the
+    // pool by the batch engine — or warm-started from the previous
+    // iteration's s* by the incremental projector (which writes into the
+    // same score buffer every iteration).
     const auto projection_start = std::chrono::steady_clock::now();
     if (warm_start) {
       incremental.ProjectInto(bezier, &scores, &j_current);

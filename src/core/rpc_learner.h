@@ -63,7 +63,8 @@ struct RpcLearnOptions {
   int max_iterations = 300;
   /// ΔJ threshold xi of Algorithm 1.
   double tolerance = 1e-7;
-  /// Projection solver (Step 4): GSS by default.
+  /// Projection solver (Step 4): safeguarded Newton by default; set
+  /// `projection.method = kGoldenSection` for Algorithm 1's GSS reference.
   opt::ProjectionOptions projection;
   /// Step 4 execution strategy: kFull re-projects from scratch each
   /// iteration; kWarmStart reuses each row's previous s* (see

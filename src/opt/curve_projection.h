@@ -15,7 +15,7 @@ namespace rpc::opt {
 /// How the per-point projection index s_f(x) (Eq. A-2 / Eq. 20-22) is found.
 enum class ProjectionMethod {
   /// Coarse grid to bracket local minima, Golden Section Search to refine —
-  /// the method Algorithm 1 adopts.
+  /// the method Algorithm 1 adopts, kept as its selectable reference.
   kGoldenSection,
   /// Solve the stationarity polynomial f'(s).(x - f(s)) = 0 exactly (degree
   /// 2k-1, the quintic of Eq. 20 for cubics) with Sturm root isolation,
@@ -23,19 +23,21 @@ enum class ProjectionMethod {
   kQuinticRoots,
   /// Pure grid argmin; ablation baseline showing why refinement matters.
   kGridOnly,
-  /// Safeguarded Newton on the stationarity condition from the best grid
-  /// bracket — the Gradient/Gauss-Newton family Pastva [20] used for
-  /// Bezier fitting. Quadratic local convergence, cheaper than GSS.
+  /// Same grid scan as kGoldenSection, then safeguarded Newton on the
+  /// stationarity condition inside every grid-local minimum's bracket — the
+  /// Gradient/Gauss-Newton family Pastva [20] used for Bezier fitting.
+  /// Quadratic local convergence, about half GSS's evaluations per row; the
+  /// default.
   kNewton,
 };
 
 struct ProjectionOptions {
-  ProjectionMethod method = ProjectionMethod::kGoldenSection;
-  /// Grid resolution for bracketing (kGoldenSection) or the answer itself
-  /// (kGridOnly).
+  ProjectionMethod method = ProjectionMethod::kNewton;
+  /// Grid resolution for bracketing (kGoldenSection, kNewton) or the answer
+  /// itself (kGridOnly).
   int grid_points = 32;
-  /// Bracket-width tolerance for Golden Section refinement and root
-  /// tolerance for kQuinticRoots.
+  /// Bracket-width tolerance for Golden Section refinement, stationarity and
+  /// step tolerance for kNewton, and root tolerance for kQuinticRoots.
   double tol = 1e-10;
   /// Build the hodograph / second-derivative state ProjectLocal's Newton
   /// refinement needs even when `method` is not kNewton. Set by

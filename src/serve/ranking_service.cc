@@ -662,6 +662,18 @@ Result<RankedBatch> RankingService::QueryImpl(const std::string& dataset_id,
                   "dimension %d",
                   raw_rows.cols(), dataset_id.c_str(), d));
   }
+  // A NaN or infinite attribute has no projection onto the curve; reject it
+  // here rather than serve whatever score the solver lands on.
+  for (int i = 0; i < raw_rows.rows(); ++i) {
+    const double* row = raw_rows.RowPtr(i);
+    for (int j = 0; j < d; ++j) {
+      if (!std::isfinite(row[j])) {
+        return Status::InvalidArgument(StrFormat(
+            "RankingService: query row %d attribute %d is not finite (%g)",
+            i, j, row[j]));
+      }
+    }
+  }
 
   RankedBatch batch;
   const int n = raw_rows.rows();

@@ -240,7 +240,8 @@ class RankingService {
     int coalesce_max_rows = 4;
     /// A pending group is sealed early once it has gathered this many rows.
     int coalesce_flush_rows = 64;
-    /// Projection solver for the serving hot path. Must match the options
+    /// Projection solver for the serving hot path (safeguarded Newton by
+    /// default, like RpcLearnOptions::projection). Must match the options
     /// the model was fit/validated with for scores to be bit-identical to
     /// the in-process RpcRanker.
     opt::ProjectionOptions projection;
@@ -296,9 +297,10 @@ class RankingService {
   /// in `options` (deadline, admission, priority; see QueryOptions).
   /// Blocks until the result is complete or the policy fails the query:
   /// kNotFound for an unknown dataset id, kInvalidArgument on a column
-  /// mismatch, kDeadlineExceeded once the deadline passes (at admission,
-  /// queued, or mid-execution), kFailedPrecondition when kReject admission
-  /// is shed or the service is shutting down. An empty batch
+  /// mismatch or a NaN/infinite attribute, kDeadlineExceeded once the
+  /// deadline passes (at admission, queued, or mid-execution),
+  /// kFailedPrecondition when kReject admission is shed or the service is
+  /// shutting down. An empty batch
   /// short-circuits to an empty result after the deadline check.
   Result<RankedBatch> Query(const std::string& dataset_id,
                             const linalg::Matrix& raw_rows,

@@ -51,6 +51,17 @@ TEST(ParseDoubleTest, RejectsGarbage) {
   EXPECT_FALSE(ParseDouble("--3", &v));
 }
 
+TEST(ParseDoubleTest, RejectsNonFiniteValues) {
+  double v = 7.0;
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "Infinity",
+                           "1e999", "-1e999"}) {
+    EXPECT_FALSE(ParseDouble(text, &v)) << text;
+  }
+  EXPECT_EQ(v, 7.0);  // untouched on failure
+  EXPECT_TRUE(ParseDouble("1e-320", &v));  // subnormal, still finite
+  EXPECT_GT(v, 0.0);
+}
+
 TEST(StrFormatTest, FormatsLikePrintf) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StrFormat("%.2f", 3.14159), "3.14");

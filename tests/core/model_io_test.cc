@@ -1,6 +1,7 @@
 #include "core/model_io.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -94,6 +95,26 @@ TEST(ModelIoTest, RejectsCorruptInputs) {
   const size_t pos = bad_alpha.find("+1");
   bad_alpha.replace(pos, 2, "+7");
   EXPECT_FALSE(PortableRpcModel::Deserialize(bad_alpha).ok());
+}
+
+// A non-finite number in a bound or a control point is rejected at parse
+// time, even inside a file whose checksum is valid.
+TEST(ModelIoTest, RejectsNonFiniteNumbers) {
+  const double bad_values[] = {std::nan(""), INFINITY, -INFINITY};
+  for (const double bad : bad_values) {
+    for (int field = 0; field < 3; ++field) {
+      PortableRpcModel model = FittedModel();
+      if (field == 0) model.mins[1] = bad;
+      if (field == 1) model.maxs[1] = bad;
+      if (field == 2) model.control_points(1, 2) = bad;
+      const auto loaded = PortableRpcModel::Deserialize(model.Serialize());
+      ASSERT_FALSE(loaded.ok()) << "field " << field << " value " << bad;
+      EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+      EXPECT_NE(loaded.status().message().find("bad number"),
+                std::string::npos)
+          << loaded.status().ToString();
+    }
+  }
 }
 
 TEST(ModelIoTest, RejectsDegenerateBounds) {

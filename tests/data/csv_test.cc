@@ -1,6 +1,7 @@
 #include "data/csv.h"
 
 #include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -66,6 +67,16 @@ TEST(CsvTest, RejectsNonNumericCell) {
   const auto ds = ParseCsv("name,v\nx,hello\n");
   EXPECT_FALSE(ds.ok());
   EXPECT_EQ(ds.status().code(), StatusCode::kDataLoss);
+}
+
+// "nan"/"NaN" are missing-value markers; every other non-finite cell is
+// data loss, not a value.
+TEST(CsvTest, RejectsNonFiniteCells) {
+  for (const char* cell : {"inf", "-inf", "Infinity", "1e999", "NAN"}) {
+    const auto ds = ParseCsv(std::string("name,a,b\nx,1,") + cell + "\n");
+    EXPECT_FALSE(ds.ok()) << cell;
+    EXPECT_EQ(ds.status().code(), StatusCode::kDataLoss) << cell;
+  }
 }
 
 TEST(CsvTest, RejectsRaggedRows) {

@@ -184,17 +184,28 @@ TEST(BatchProjectionTest, NewtonBoundaryProbeIsNotDoubleCounted) {
 
 // Larger s wins ties through the batch path too (the sup of Eq. A-2).
 TEST(BatchProjectionTest, SupTieBreakSurvivesBatch) {
-  // Symmetric arch: (0.5, far above) is equidistant from both flanks.
+  // Symmetric arch: (0.5, -1) lies below the chord, exactly sqrt(1.25) from
+  // both end points and farther from every interior point, so s = 0 and
+  // s = 1 tie for the global minimum and the sup picks s = 1.
   const BezierCurve arch =
       BezierCurve(Matrix{{0.0, 0.25, 0.75, 1.0}, {0.0, 1.0, 1.0, 0.0}});
   Matrix data(1, 2);
   data(0, 0) = 0.5;
-  data(0, 1) = 5.0;
+  data(0, 1) = -1.0;
   ThreadPool pool(2);
-  const Vector scores = ProjectRowsBatch(arch, data, {}, &pool);
-  const ProjectionResult single = ProjectOntoCurve(arch, data.Row(0), {});
-  EXPECT_EQ(scores[0], single.s);
-  EXPECT_GT(scores[0], 0.5);
+  for (const ProjectionMethod method :
+       {ProjectionMethod::kGoldenSection, ProjectionMethod::kNewton,
+        ProjectionMethod::kQuinticRoots}) {
+    SCOPED_TRACE(MethodName(method));
+    ProjectionOptions options;
+    options.method = method;
+    const Vector scores = ProjectRowsBatch(arch, data, options, &pool);
+    const ProjectionResult single =
+        ProjectOntoCurve(arch, data.Row(0), options);
+    EXPECT_EQ(scores[0], single.s);
+    EXPECT_EQ(single.s, 1.0);
+    EXPECT_EQ(single.squared_distance, 1.25);
+  }
 }
 
 // The fused projection+accumulation pass must reproduce ProjectRowsBatch's

@@ -108,6 +108,33 @@ TEST(RankingServiceTest, UnknownDatasetAndShapeMismatch) {
             StatusCode::kInvalidArgument);
 }
 
+// A non-finite attribute has no projection: the query fails as a whole,
+// naming the first offending row and attribute, on the point and bulk paths.
+TEST(RankingServiceTest, RejectsNonFiniteQueryRows) {
+  RankingService service;
+  ASSERT_TRUE(service.RegisterDataset("d2", MonotoneModel(2, 9)).ok());
+  const double bad_values[] = {std::nan(""), INFINITY, -INFINITY};
+  for (const double bad : bad_values) {
+    SCOPED_TRACE(bad);
+    const Matrix point{{bad, 0.5}};
+    const auto point_result = service.Query("d2", point);
+    ASSERT_EQ(point_result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(point_result.status().message().find("row 0 attribute 0"),
+              std::string::npos)
+        << point_result.status().ToString();
+
+    Matrix bulk = RandomRows(64, 2, 10);
+    bulk(37, 1) = bad;
+    const auto bulk_result = service.Query("d2", bulk);
+    ASSERT_EQ(bulk_result.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(bulk_result.status().message().find("row 37 attribute 1"),
+              std::string::npos)
+        << bulk_result.status().ToString();
+  }
+  // The shard still serves finite rows afterwards.
+  EXPECT_TRUE(service.Query("d2", Matrix{{0.25, 0.5}}).ok());
+}
+
 TEST(RankingServiceTest, EmptyBatchShortCircuits) {
   RankingService service;
   ASSERT_TRUE(service.RegisterDataset("d", MonotoneModel(2, 8)).ok());

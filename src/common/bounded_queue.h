@@ -2,6 +2,7 @@
 #define RPC_COMMON_BOUNDED_QUEUE_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <condition_variable>
@@ -196,10 +197,10 @@ class PriorityBoundedQueue {
 
   int lane_limit(int lane) const { return limits_[static_cast<size_t>(lane)]; }
 
-  int size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return size_;
-  }
+  /// Total occupancy, read without the queue mutex: a snapshot that may be
+  /// stale by the time the caller acts on it, which is all a "nothing is
+  /// queued right now" test on a hot path needs.
+  int size() const { return size_.load(std::memory_order_relaxed); }
 
   bool closed() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -225,7 +226,7 @@ class PriorityBoundedQueue {
   QueuePushResult PushUntil(T item, int lane, TimePoint deadline) {
     const int limit = limits_[static_cast<size_t>(lane)];
     std::unique_lock<std::mutex> lock(mu_);
-    const auto admissible = [&] { return closed_ || size_ < limit; };
+    const auto admissible = [&] { return closed_ || size() < limit; };
     if (deadline == TimePoint::max()) {
       not_full_.wait(lock, admissible);
     } else if (!not_full_.wait_until(lock, deadline, admissible)) {
@@ -242,7 +243,7 @@ class PriorityBoundedQueue {
   QueuePushResult TryPush(T item, int lane) {
     std::unique_lock<std::mutex> lock(mu_);
     if (closed_) return QueuePushResult::kClosed;
-    if (size_ >= limits_[static_cast<size_t>(lane)]) {
+    if (size() >= limits_[static_cast<size_t>(lane)]) {
       return QueuePushResult::kFull;
     }
     Enqueue(std::move(item), lane);
@@ -255,15 +256,15 @@ class PriorityBoundedQueue {
   /// (then nullopt). Highest-priority (lowest-index) non-empty lane first.
   std::optional<T> Pop() {
     std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait(lock, [&] { return closed_ || size_ > 0; });
-    if (size_ == 0) return std::nullopt;  // closed and drained
+    not_empty_.wait(lock, [&] { return closed_ || size() > 0; });
+    if (size() == 0) return std::nullopt;  // closed and drained
     return Dequeue(lock);
   }
 
   /// Non-blocking pop; nullopt when currently empty.
   std::optional<T> TryPop() {
     std::unique_lock<std::mutex> lock(mu_);
-    if (size_ == 0) return std::nullopt;
+    if (size() == 0) return std::nullopt;
     return Dequeue(lock);
   }
 
@@ -281,8 +282,8 @@ class PriorityBoundedQueue {
  private:
   void Enqueue(T item, int lane) {
     lanes_[static_cast<size_t>(lane)].push_back(std::move(item));
-    ++size_;
-    peak_ = std::max(peak_, size_);
+    size_.store(size() + 1, std::memory_order_relaxed);
+    peak_ = std::max(peak_, size());
   }
 
   std::optional<T> Dequeue(std::unique_lock<std::mutex>& lock) {
@@ -290,7 +291,7 @@ class PriorityBoundedQueue {
       if (lane.empty()) continue;
       std::optional<T> item(std::move(lane.front()));
       lane.pop_front();
-      --size_;
+      size_.store(size() - 1, std::memory_order_relaxed);
       lock.unlock();
       not_full_.notify_all();  // waiters have different limits
       return item;
@@ -304,7 +305,8 @@ class PriorityBoundedQueue {
   std::condition_variable not_empty_;
   std::vector<std::deque<T>> lanes_;
   std::vector<int> limits_;
-  int size_ = 0;
+  // Written only under mu_; atomic so that size() can skip the lock.
+  std::atomic<int> size_{0};
   int peak_ = 0;
   bool closed_ = false;
 };

@@ -51,7 +51,8 @@ Result<RpcCurve> RpcCurve::FromControlPointsUnchecked(
   for (int j = 0; j < control_points.rows(); ++j) {
     for (int r = 0; r < control_points.cols(); ++r) {
       const double v = control_points(j, r);
-      if (v < 0.0 || v > 1.0) {
+      // Written so that NaN fails too: every comparison with NaN is false.
+      if (!(v >= 0.0 && v <= 1.0)) {
         return Status::InvalidArgument(StrFormat(
             "RpcCurve: control point p%d[%d] = %g outside [0,1]", r, j, v));
       }

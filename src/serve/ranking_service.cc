@@ -51,6 +51,58 @@ const char* PriorityLabel(int priority) {
   return "unknown";
 }
 
+/// A shard's workspace free list. Claiming a slot is one atomic exchange
+/// on that slot's own cache line, so callers on different cores that
+/// take different slots never serialise on a shared lock. Claim (a pool
+/// worker) sleeps while every slot is held; TryClaim (a caller keeping its
+/// own segment) never waits.
+class SlotPool {
+ public:
+  explicit SlotPool(int slots) : busy_(static_cast<size_t>(slots)) {}
+
+  std::optional<int> TryClaim() {
+    for (size_t i = 0; i < busy_.size(); ++i) {
+      if (!busy_[i].held.load() && !busy_[i].held.exchange(true)) {
+        return static_cast<int>(i);
+      }
+    }
+    return std::nullopt;
+  }
+
+  /// Blocks only while every slot is held by a segment that is running on
+  /// some thread, and holders never block, so the wait is finite.
+  int Claim() {
+    if (const std::optional<int> slot = TryClaim()) return *slot;
+    std::unique_lock<std::mutex> lock(mu_);
+    // Registering before the rescan pairs with Release's store-then-load
+    // (all sequentially consistent): either the rescan sees the released
+    // slot, or the releaser sees this waiter and notifies.
+    waiters_.fetch_add(1);
+    std::optional<int> slot;
+    cv_.wait(lock, [&] { return (slot = TryClaim()).has_value(); });
+    waiters_.fetch_sub(1);
+    return *slot;
+  }
+
+  void Release(int slot) {
+    busy_[static_cast<size_t>(slot)].held.store(false);
+    if (waiters_.load() == 0) return;
+    // Passing through the mutex orders this notify after a waiter's failed
+    // rescan, so the wake-up cannot fall between its scan and its wait.
+    { std::lock_guard<std::mutex> lock(mu_); }
+    cv_.notify_one();
+  }
+
+ private:
+  struct alignas(64) Flag {
+    std::atomic<bool> held{false};
+  };
+  std::vector<Flag> busy_;
+  std::atomic<int> waiters_{0};
+  std::mutex mu_;
+  std::condition_variable cv_;
+};
+
 }  // namespace
 
 int LatencyHistogram::BucketFor(std::chrono::nanoseconds latency) {
@@ -120,9 +172,14 @@ struct RankingService::BatchState {
   /// the common case must not pay for the feature it does not use.
   bool ExpiredNow() { return has_deadline && Expired(Clock::now()); }
 
-  void Finish() {
+  /// Counts one segment down; true when it was the query's last. Only the
+  /// caller may act on a true return: once the count reaches zero the
+  /// caller can return and free this state.
+  bool Finish() {
     std::lock_guard<std::mutex> lock(mu);
-    if (--remaining == 0) done_cv.notify_all();
+    if (--remaining != 0) return false;
+    done_cv.notify_all();
+    return true;
   }
   void Wait() {
     std::unique_lock<std::mutex> lock(mu);
@@ -173,10 +230,8 @@ struct RankingService::Shard {
     std::vector<double> normalized;
   };
   std::vector<std::unique_ptr<Slot>> slots;
-  /// Free slot indices; checkout = Pop (blocks only while every slot is
-  /// held by a segment that is actively running on some thread, so the wait
-  /// is always finite), return = Push (never blocks: capacity == slots).
-  mutable BoundedQueue<int> free_slots;
+  /// Which slots are checked out.
+  mutable SlotPool free_slots;
 
   /// At most one open coalescing group per shard snapshot; guarded by
   /// coalesce_mu together with every group's membership and sealed flag.
@@ -232,6 +287,18 @@ RankingService::RankingService(const Options& options)
   coalesced_queries_ =
       registry.GetCounter("rpc_serve_coalesced_queries_total", labels,
                           "Queries served inside a shared coalesced group");
+  caller_segments_ =
+      registry.GetCounter("rpc_serve_caller_segments_total", labels,
+                          "Segments run on their query's calling thread");
+  const auto caller_fallback = [&](const char* reason) {
+    obs::Labels fallback_labels = labels;
+    fallback_labels.emplace_back("reason", reason);
+    return registry.GetCounter(
+        "rpc_serve_caller_fallback_total", fallback_labels,
+        "Queries whose first segment was queued instead of run on the caller");
+  };
+  caller_fallback_queue_busy_ = caller_fallback("queue_busy");
+  caller_fallback_no_workspace_ = caller_fallback("no_workspace");
   for (int p = 0; p < kNumPriorities; ++p) {
     obs::Labels shed_labels = labels;
     shed_labels.emplace_back("priority", PriorityLabel(p));
@@ -285,6 +352,14 @@ RankingService::BuildShard(const core::PortableRpcModel& model,
         curve.dimension(), model.mins.size(), model.maxs.size()));
   }
   for (int j = 0; j < curve.dimension(); ++j) {
+    // An infinite bound turns every normalised attribute into 0, NaN or
+    // -Inf; NaN bounds already fail the ordering test below.
+    if (!std::isfinite(model.mins[j]) || !std::isfinite(model.maxs[j])) {
+      return Status::InvalidArgument(StrFormat(
+          "RankingService: attribute %d has a non-finite bound (min %g, "
+          "max %g)",
+          j, model.mins[j], model.maxs[j]));
+    }
     if (!(model.maxs[j] > model.mins[j])) {
       return Status::InvalidArgument(StrFormat(
           "RankingService: attribute %d has max (%g) <= min (%g)", j,
@@ -302,7 +377,6 @@ RankingService::BuildShard(const core::PortableRpcModel& model,
     slot->workspace.BindShared(shard->curve, options_.projection);
     slot->normalized.resize(static_cast<size_t>(kDeadlineCheckStride) * d);
     shard->slots.push_back(std::move(slot));
-    shard->free_slots.Push(i);
   }
   return std::shared_ptr<const Shard>(std::move(shard));
 }
@@ -410,9 +484,8 @@ bool RankingService::ScoreRows(const Shard& shard, int slot_index,
 
 void RankingService::RunGroup(const Segment& seg) const {
   const Shard& shard = *seg.shard;
-  const std::optional<int> slot_index = shard.free_slots.Pop();
-  if (!slot_index.has_value()) return;  // unreachable: free_slots never closes
   // One checkout for every rider — the amortisation coalescing exists for.
+  const int slot_index = shard.free_slots.Claim();
   for (const CoalesceGroup::Entry& entry : seg.group->entries) {
     BatchState& state = *entry.state;
     const obs::TraceId trace = state.trace_id;
@@ -431,7 +504,7 @@ void RankingService::RunGroup(const Segment& seg) const {
                                                              : run_start_ns,
                     run_start_ns);
     }
-    if (!ScoreRows(shard, *slot_index, *entry.rows, 0, entry.n,
+    if (!ScoreRows(shard, slot_index, *entry.rows, 0, entry.n,
                    entry.scores_out, state)) {
       expired_segments_.Increment();
     }
@@ -440,7 +513,7 @@ void RankingService::RunGroup(const Segment& seg) const {
     }
     state.Finish();
   }
-  shard.free_slots.Push(*slot_index);
+  shard.free_slots.Release(slot_index);
 }
 
 void RankingService::RunOneSegment() const {
@@ -453,14 +526,19 @@ void RankingService::RunOneSegment() const {
     RunGroup(*seg);
     return;
   }
+  RunSegment(*seg, seg->shard->free_slots.Claim());
+}
 
-  BatchState& state = *seg->state;
-  // Deadline re-check at dequeue: a segment that sat out its budget in the
-  // queue is accounted and dropped, not executed.
+bool RankingService::RunSegment(const Segment& seg, int slot_index) const {
+  const Shard& shard = *seg.shard;
+  BatchState& state = *seg.state;
+  // Deadline re-check before any row is scored: a segment that sat out its
+  // budget in the queue (or behind the caller's own admissions) is
+  // accounted and dropped, not executed.
   if (state.ExpiredNow()) {
+    shard.free_slots.Release(slot_index);
     expired_segments_.Increment();
-    state.Finish();
-    return;
+    return state.Finish();
   }
 
   // Span timestamps reuse one clock read per edge; untraced queries (the
@@ -479,17 +557,56 @@ void RankingService::RunOneSegment() const {
                   run_start_ns);
   }
 
-  const Shard& shard = *seg->shard;
-  const std::optional<int> slot_index = shard.free_slots.Pop();
-  if (!slot_index.has_value()) return;  // unreachable: free_slots never closes
-  const bool completed = ScoreRows(shard, *slot_index, *seg->rows, seg->begin,
-                                   seg->end, seg->scores_out, state);
-  shard.free_slots.Push(*slot_index);
+  const bool completed = ScoreRows(shard, slot_index, *seg.rows, seg.begin,
+                                   seg.end, seg.scores_out, state);
+  shard.free_slots.Release(slot_index);
   if (!completed) expired_segments_.Increment();
   if (trace != 0) {
     obs::EmitSpan(trace, "serve.execute", run_start_ns, obs::TraceNowNs());
   }
-  state.Finish();
+  return state.Finish();
+}
+
+QueuePushResult RankingService::AdmitToQueue(Segment seg, int lane,
+                                             const QueryOptions& options) const {
+  const QueuePushResult pushed =
+      options.admission == AdmissionPolicy::kBlock
+          ? queue_.PushUntil(std::move(seg), lane, options.deadline)
+          : queue_.TryPush(std::move(seg), lane);
+  if (pushed == QueuePushResult::kOk) {
+    // Each successful push is paired with exactly one Submit so pushes and
+    // pops stay balanced.
+    segments_.Increment();
+    pool_->Submit([this] { RunOneSegment(); });
+  }
+  return pushed;
+}
+
+Status RankingService::WithdrawSegments(BatchState& state, int not_admitted,
+                                        int lane,
+                                        QueuePushResult pushed) const {
+  // The segments admitted so far still reference the caller's rows and
+  // result memory: wait them out before the caller's frame can go.
+  {
+    std::lock_guard<std::mutex> lock(state.mu);
+    state.remaining -= not_admitted;
+  }
+  state.Wait();
+  switch (pushed) {
+    case QueuePushResult::kTimeout:
+      deadline_expired_.Increment();
+      return Status::DeadlineExceeded(
+          "RankingService: deadline expired while blocked on a full "
+          "admission queue");
+    case QueuePushResult::kClosed:
+      rejected_.Increment();
+      return Status::FailedPrecondition("RankingService: shutting down");
+    default:
+      rejected_.Increment();
+      shed_by_priority_[static_cast<size_t>(lane)].Increment();
+      return Status::FailedPrecondition(
+          "RankingService: admission queue full");
+  }
 }
 
 Status RankingService::AdmitSegmented(
@@ -501,11 +618,7 @@ Status RankingService::AdmitSegmented(
   const int num_segments = (n + segment_rows - 1) / segment_rows;
   state.remaining = num_segments;
   trace.segments = num_segments;
-
-  const bool blocking = options.admission == AdmissionPolicy::kBlock;
-  // Admit every segment before waiting; each successful push is paired
-  // with exactly one Submit so pushes and pops stay balanced.
-  for (int s = 0; s < num_segments; ++s) {
+  const auto segment = [&](int s) {
     Segment seg;
     seg.shard = shard;
     seg.rows = &raw_rows;
@@ -513,38 +626,47 @@ Status RankingService::AdmitSegmented(
     seg.begin = s * segment_rows;
     seg.end = std::min(n, seg.begin + segment_rows);
     seg.state = &state;
-    const QueuePushResult pushed =
-        blocking ? queue_.PushUntil(std::move(seg), lane, options.deadline)
-                 : queue_.TryPush(std::move(seg), lane);
+    return seg;
+  };
+
+  // The caller keeps segment 0 for itself when nothing is queued: there is
+  // then no queued work it could overtake, and a TryPush could not shed it.
+  bool keep_first = queue_.size() == 0;
+  if (!keep_first) caller_fallback_queue_busy_.Increment();
+  // Admit the other segments first, so the workers start at once. The
+  // caller holds no workspace yet: on a pool without workers Submit runs a
+  // segment inline, and it would wait forever for a workspace held here.
+  for (int s = keep_first ? 1 : 0; s < num_segments; ++s) {
+    const QueuePushResult pushed = AdmitToQueue(segment(s), lane, options);
     if (pushed != QueuePushResult::kOk) {
-      // Shed, shutdown or deadline: withdraw the segments not yet admitted
-      // and wait out the ones that were (they still reference the caller's
-      // rows and result memory).
-      {
-        std::lock_guard<std::mutex> lock(state.mu);
-        state.remaining -= num_segments - s;
-      }
-      state.Wait();
-      switch (pushed) {
-        case QueuePushResult::kTimeout:
-          deadline_expired_.Increment();
-          return Status::DeadlineExceeded(
-              "RankingService: deadline expired while blocked on a full "
-              "admission queue");
-        case QueuePushResult::kClosed:
-          rejected_.Increment();
-          return Status::FailedPrecondition("RankingService: shutting down");
-        default:
-          rejected_.Increment();
-          shed_by_priority_[static_cast<size_t>(lane)].Increment();
-          return Status::FailedPrecondition(
-              "RankingService: admission queue full");
+      return WithdrawSegments(state, num_segments - s + (keep_first ? 1 : 0),
+                              lane, pushed);
+    }
+  }
+  // Take a workspace only if one is free. When none is, segment 0 joins
+  // the queue and runs on whichever worker frees one first, while the
+  // caller waits on the latch as it would for any queued segment.
+  std::optional<int> slot_index;
+  if (keep_first) {
+    slot_index = shard->free_slots.TryClaim();
+    if (!slot_index.has_value()) {
+      keep_first = false;
+      caller_fallback_no_workspace_.Increment();
+      const QueuePushResult pushed = AdmitToQueue(segment(0), lane, options);
+      if (pushed != QueuePushResult::kOk) {
+        return WithdrawSegments(state, 1, lane, pushed);
       }
     }
-    segments_.Increment();
-    pool_->Submit([this] { RunOneSegment(); });
   }
   state.admitted_ns.store(NowNs(), std::memory_order_relaxed);
+  if (keep_first) {
+    segments_.Increment();
+    caller_segments_.Increment();
+    // The caller ran the last outstanding segment itself (always so for a
+    // single-segment query): no worker can still touch the latch.
+    if (RunSegment(segment(0), *slot_index)) return Status::Ok();
+  }
+  state.Wait();
   return Status::Ok();
 }
 
@@ -707,11 +829,11 @@ Result<RankedBatch> RankingService::QueryImpl(const std::string& dataset_id,
     batch.trace.segments = 1;
     RPC_RETURN_IF_ERROR(
         AdmitCoalesced(shard, raw_rows, scores_out, lane, state));
+    state.Wait();
   } else {
     RPC_RETURN_IF_ERROR(AdmitSegmented(shard, raw_rows, scores_out, lane,
                                        options, state, batch.trace));
   }
-  state.Wait();
 
   if (state.shutdown.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition("RankingService: shutting down");
@@ -819,6 +941,9 @@ ServiceStats RankingService::stats() const {
   stats.deadline_expired = deadline_expired_.Value();
   stats.expired_segments = expired_segments_.Value();
   stats.coalesced_queries = coalesced_queries_.Value();
+  stats.caller_segments = caller_segments_.Value();
+  stats.caller_fallback_queue_busy = caller_fallback_queue_busy_.Value();
+  stats.caller_fallback_no_workspace = caller_fallback_no_workspace_.Value();
   for (int p = 0; p < kNumPriorities; ++p) {
     stats.shed_by_priority[static_cast<size_t>(p)] =
         shed_by_priority_[static_cast<size_t>(p)].Value();

@@ -99,7 +99,8 @@ struct SheddingPolicy {
 /// Observability for one answered query, filled by Query on success.
 struct QueryTrace {
   /// Time from entering Query until the last segment was admitted to the
-  /// execution queue (for coalesced queries: until the group was sealed
+  /// execution queue, or handed to the caller itself when it runs segment
+  /// 0 (for coalesced queries: until the group was sealed
   /// and admitted — measured best-effort, may read as zero on the rare
   /// race where execution finishes before the sealer's clock store lands).
   std::chrono::nanoseconds admission_wait{0};
@@ -150,13 +151,20 @@ struct LatencyHistogram {
 struct ServiceStats {
   std::int64_t queries = 0;        // batches fully served
   std::int64_t rows = 0;           // rows scored across all queries
-  std::int64_t segments = 0;       // execution segments dispatched
+  std::int64_t segments = 0;       // execution segments dispatched (queued
+                                   // or run on the caller)
   std::int64_t rejected = 0;       // admissions refused (shed or shutdown)
   std::int64_t registrations = 0;  // shards published (incl. replacements)
   std::int64_t deadline_expired = 0;   // queries failed with kDeadlineExceeded
   std::int64_t expired_segments = 0;   // segments skipped/abandoned once their
                                        // query's deadline had passed
   std::int64_t coalesced_queries = 0;  // queries served inside a shared group
+  std::int64_t caller_segments = 0;    // segments run on the query's caller
+  /// Queries that found segments queued at entry, so the caller kept none.
+  std::int64_t caller_fallback_queue_busy = 0;
+  /// Queries whose caller found every workspace of the shard checked out,
+  /// so it queued the segment it had kept.
+  std::int64_t caller_fallback_no_workspace = 0;
   /// Admissions refused per priority class (indexed by QueryPriority).
   std::array<std::int64_t, kNumPriorities> shed_by_priority{};
   /// Total latency distribution of successfully answered queries.
@@ -181,10 +189,12 @@ struct ServiceStats {
 /// Queries enter through one entry point — Query(dataset_id, rows,
 /// QueryOptions) — where the options carry the whole admission policy:
 ///
-///   * deadline: checked at admission, again when a segment is dequeued,
-///     and between rows while executing; expired work is cancelled
-///     cooperatively and accounted (no zombie segments burning pool time
-///     after the caller has given up).
+///   * deadline: checked at admission, again when a segment starts (at
+///     dequeue for a queued one), and between rows while executing; a
+///     segment the caller runs itself is never queued, so it has no
+///     dequeue check, only the start and between-rows ones. Expired work
+///     is cancelled cooperatively and accounted (no zombie segments
+///     burning pool time after the caller has given up).
 ///   * admission: kBlock waits for queue room (backpressure), kReject
 ///     refuses immediately (load shedding).
 ///   * priority: three classes routed through a priority-lane admission
@@ -200,10 +210,17 @@ struct ServiceStats {
 /// arithmetic — each row runs the identical normalise + project kernel, so
 /// scores stay bit-identical to RpcRanker.
 ///
-/// Execution: admitted segments run on the shared common::ThreadPool. Each
-/// segment checks a workspace out of its shard's free list, scores its rows
-/// — normalise, project, done, with no heap allocation per row — and
-/// returns the workspace. Lifecycle is copy-on-write: RegisterDataset
+/// Execution: a segment checks a workspace out of its shard's free list,
+/// scores its rows — normalise, project, done, with no heap allocation per
+/// row — and returns the workspace. When the admission queue is empty as a
+/// query arrives, its calling thread runs segment 0 itself: it first admits
+/// segments 1..n-1 to the queue, so that pool workers start on them, then
+/// takes a free workspace without blocking. A single-segment query on an
+/// idle service thus never leaves its caller. The caller falls back to the
+/// queue, under the query's own admission policy, when segments are
+/// already queued (the query must not overtake them) or when every
+/// workspace of the shard is checked out. Queued segments run on the
+/// shared common::ThreadPool. Lifecycle is copy-on-write: RegisterDataset
 /// builds the complete replacement shard before atomically swapping the map
 /// entry, and EvictDataset only drops the map reference, so an in-flight
 /// query always finishes against the exact model snapshot it was admitted
@@ -218,14 +235,20 @@ class RankingService {
   struct Options {
     /// Worker-thread budget for the shared execution pool; same convention
     /// as common::ThreadPool — 0 = hardware concurrency, 1 = fully serial
-    /// (queries then execute inline in the calling thread).
+    /// (every segment then executes in the calling thread). With any
+    /// budget the caller runs its query's segment 0 itself when the
+    /// admission queue is empty, and queues it when segments are waiting
+    /// or no workspace is free, so a query runs on up to N-1 pool workers
+    /// plus its caller.
     int num_threads = 0;
     /// Capacity of the admission queue, counted in segments. Full queue =
     /// backpressure.
     int queue_capacity = 256;
     /// Bound workspaces per shard; 0 sizes the pool to the thread pool's
-    /// parallelism (the most that can ever be checked out concurrently by
-    /// pool workers alone).
+    /// parallelism. Pool workers block for a free one; a caller running
+    /// its own segment 0 never does — it takes one only if one is free, and
+    /// otherwise queues the segment (counted as the "no_workspace"
+    /// fallback), so callers beyond this count fall back to the queue.
     int workspaces_per_shard = 0;
     /// Queries with more rows than this are split into that many-row
     /// segments so one large batch spreads across the pool.
@@ -349,7 +372,8 @@ class RankingService {
                                 const linalg::Matrix& raw_rows,
                                 const QueryOptions& options) const;
   /// The segmented (non-coalesced) admission path: split into row ranges,
-  /// admit each, wait for completion.
+  /// admit each (keeping segment 0 for the caller when the queue is
+  /// empty), wait for completion.
   Status AdmitSegmented(const std::shared_ptr<const Shard>& shard,
                         const linalg::Matrix& raw_rows, double* scores_out,
                         int lane, const QueryOptions& options,
@@ -363,10 +387,24 @@ class RankingService {
   /// under the coalesce mutex) and admits it as one segment.
   void SealAndAdmitGroup(const std::shared_ptr<const Shard>& shard,
                          const std::shared_ptr<CoalesceGroup>& group) const;
-  /// Pops one admitted segment and executes it: deadline re-check,
-  /// workspace checkout, normalise + project each row (with cooperative
-  /// cancellation between rows), workspace return, completion countdown.
+  /// Pushes one segment under the query's admission policy and pairs a
+  /// successful push with one pool Submit.
+  QueuePushResult AdmitToQueue(Segment seg, int lane,
+                               const QueryOptions& options) const;
+  /// Failure path of AdmitSegmented: withdraws the `not_admitted` segments
+  /// from the latch, waits out the admitted ones and maps `pushed` to the
+  /// query's Status.
+  Status WithdrawSegments(BatchState& state, int not_admitted, int lane,
+                          QueuePushResult pushed) const;
+  /// Pool task: pops one admitted segment, checks a workspace out (blocking)
+  /// and runs it (RunSegment), or runs a coalesced group.
   void RunOneSegment() const;
+  /// Executes one row-range segment with workspace `slot_index` already
+  /// checked out — the same code on a worker and on a caller: deadline
+  /// re-check, normalise + project each row (with cooperative cancellation
+  /// between blocks), workspace return, completion countdown. Returns true
+  /// when this was the query's last outstanding segment.
+  bool RunSegment(const Segment& seg, int slot_index) const;
   void RunGroup(const Segment& seg) const;
   /// Scores rows [begin, end) of `rows` into scores_out using `slot`,
   /// checking the query's cancellation flag between rows; returns false if
@@ -399,6 +437,9 @@ class RankingService {
   obs::Counter deadline_expired_;
   obs::Counter expired_segments_;
   obs::Counter coalesced_queries_;
+  obs::Counter caller_segments_;
+  obs::Counter caller_fallback_queue_busy_;
+  obs::Counter caller_fallback_no_workspace_;
   std::array<obs::Counter, kNumPriorities> shed_by_priority_;
   obs::Histogram latency_us_;
   obs::Histogram admission_wait_us_;

@@ -288,6 +288,16 @@ Result<std::int64_t> StreamingRanker::AppendImpl(const Vector& raw_row,
           StrFormat("StreamingRanker: row has %d attributes, expected %d",
                     raw_row.size(), d_));
     }
+    // A non-finite attribute would poison the online normaliser's bounds
+    // and moments (every later refresh is then skipped) and be replayed
+    // from the WAL on recovery; refuse it before it takes a row id.
+    for (int j = 0; j < d_; ++j) {
+      if (!std::isfinite(raw_row[j])) {
+        return Status::InvalidArgument(
+            StrFormat("StreamingRanker: attribute %d is not finite (%g)", j,
+                      raw_row[j]));
+      }
+    }
     // A rejected TryPush burns this id; ids are unique, not dense.
     event.row_id = next_row_id_++;
     ++pending_;

@@ -273,7 +273,9 @@ class StreamingRanker {
   RecoveryInfo recovery_info() const;
 
   /// Enqueues a row (raw data space) for ingestion and returns its row id.
-  /// Blocks while the ingestion queue is full (backpressure).
+  /// Blocks while the ingestion queue is full (backpressure). A row of the
+  /// wrong width or with a NaN/infinite attribute fails with
+  /// kInvalidArgument and takes no row id.
   Result<std::int64_t> Append(const linalg::Vector& raw_row);
   /// Like Append but refuses (kFailedPrecondition) instead of blocking.
   Result<std::int64_t> TryAppend(const linalg::Vector& raw_row);

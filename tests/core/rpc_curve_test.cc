@@ -1,5 +1,7 @@
 #include "core/rpc_curve.h"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 namespace rpc::core {
@@ -48,6 +50,20 @@ TEST(RpcCurveTest, UncheckedAllowsFreeEndpointsInsideCube) {
   Matrix outside{{0.1, 0.3, 0.7, 1.2}, {0.2, 0.2, 0.8, 0.95}};
   EXPECT_FALSE(
       RpcCurve::FromControlPointsUnchecked(outside, alpha).ok());
+}
+
+// NaN compares false against both bounds, so a range test written as
+// "v < 0 || v > 1" lets it through; the unchecked path is what
+// PortableRpcModel::BuildCurve falls back to, so it must refuse NaN itself.
+TEST(RpcCurveTest, UncheckedRejectsNonFiniteControlPoints) {
+  const Orientation alpha = Orientation::AllBenefit(2);
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Matrix control{{0.0, 0.3, 0.7, 1.0}, {0.0, 0.2, 0.8, 1.0}};
+    control(1, 2) = bad;
+    EXPECT_FALSE(RpcCurve::FromControlPointsUnchecked(control, alpha).ok())
+        << bad;
+    EXPECT_FALSE(RpcCurve::FromControlPoints(control, alpha).ok()) << bad;
+  }
 }
 
 TEST(RpcCurveTest, CostOrientedCurveDecreasesInCostCoordinates) {

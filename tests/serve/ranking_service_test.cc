@@ -99,6 +99,33 @@ TEST(RankingServiceTest, RejectsEmptyIdAndInvalidModel) {
             StatusCode::kInvalidArgument);
 }
 
+// A non-finite in-memory model has no valid geometry to serve: a NaN
+// control point (which the free-end-point curve check used to pass) and an
+// infinite normalisation bound are both refused at registration.
+TEST(RankingServiceTest, RejectsNonFiniteModel) {
+  RankingService service;
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    core::PortableRpcModel control = MonotoneModel(2, 7);
+    control.control_points(1, 2) = bad;
+    EXPECT_EQ(service.RegisterDataset("control", control).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+
+    core::PortableRpcModel max_bound = MonotoneModel(2, 8);
+    max_bound.maxs[1] = bad;
+    EXPECT_EQ(service.RegisterDataset("max", max_bound).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+
+    core::PortableRpcModel min_bound = MonotoneModel(2, 9);
+    min_bound.mins[0] = bad;
+    EXPECT_EQ(service.RegisterDataset("min", min_bound).code(),
+              StatusCode::kInvalidArgument)
+        << bad;
+  }
+  EXPECT_TRUE(service.DatasetIds().empty());
+}
+
 TEST(RankingServiceTest, UnknownDatasetAndShapeMismatch) {
   RankingService service;
   ASSERT_TRUE(service.RegisterDataset("d3", MonotoneModel(3, 5)).ok());

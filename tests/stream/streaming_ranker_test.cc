@@ -7,7 +7,9 @@
 // exactly across versioned copy-on-write swaps.
 #include "stream/streaming_ranker.h"
 
+#include <cmath>
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -289,6 +291,51 @@ TEST(StreamingRankerTest, LifecycleErrorsAreStatusesNotCrashes) {
   EXPECT_FALSE(ranker.Append(row).ok());       // stopped
   EXPECT_FALSE(ranker.Retire(0).ok());
   ranker.Stop();                               // idempotent
+}
+
+// A NaN or infinite attribute would poison the online normaliser, after
+// which every refresh is skipped and the served model freezes. Append and
+// TryAppend refuse such a row up front: nothing is counted or queued, and
+// the next refresh still publishes.
+TEST(StreamingRankerTest, NonFiniteRowsAreRejectedAtAppend) {
+  const Orientation alpha = *Orientation::FromSigns({+1, -1});
+  const Matrix raw = RawFixture(alpha, 40, 81);
+  serve::RankingService service;
+  StreamingRanker ranker(&service, "live", QuietOptions());
+  ASSERT_TRUE(ranker.Start(raw, alpha).ok());
+  const StreamStats before = ranker.stats();
+
+  for (const double bad : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    Vector row = raw.Row(0);
+    row[1] = bad;
+    const auto appended = ranker.Append(row);
+    ASSERT_FALSE(appended.ok()) << bad;
+    EXPECT_EQ(appended.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(appended.status().message().find("attribute 1"),
+              std::string::npos)
+        << appended.status().message();
+    const auto tried = ranker.TryAppend(row);
+    ASSERT_FALSE(tried.ok()) << bad;
+    EXPECT_EQ(tried.status().code(), StatusCode::kInvalidArgument);
+  }
+  ASSERT_TRUE(ranker.Flush().ok());
+  const StreamStats after = ranker.stats();
+  EXPECT_EQ(after.appended, before.appended);
+  EXPECT_EQ(after.events_processed, before.events_processed);
+  EXPECT_EQ(after.rows, before.rows);
+  EXPECT_EQ(after.pending, 0);
+  EXPECT_EQ(after.skipped_refreshes, before.skipped_refreshes);
+
+  // The first accepted row still gets id n: rejected rows burned none.
+  const auto id = ranker.Append(RandomRowNear(raw, 82, 0.1));
+  ASSERT_TRUE(id.ok());
+  EXPECT_EQ(*id, raw.rows());
+  ASSERT_TRUE(ranker.ForceRefresh().ok());
+  EXPECT_EQ(ranker.stats().refreshes, before.refreshes + 1);
+  EXPECT_EQ(ranker.stats().skipped_refreshes, before.skipped_refreshes);
+  const auto version = service.DatasetVersion("live");
+  ASSERT_TRUE(version.ok());
+  EXPECT_EQ(*version, before.version + 1);
 }
 
 TEST(StreamingRankerTest, StopDrainsAdmittedEvents) {

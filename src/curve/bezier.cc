@@ -46,48 +46,34 @@ Vector BezierCurve::Derivative(double s) const {
 }
 
 BezierCurve BezierCurve::DerivativeCurve() const {
-  BezierCurve out;
-  DerivativeCurveInto(&out);
-  return out;
-}
-
-void BezierCurve::DerivativeCurveInto(BezierCurve* out) const {
-  assert(out != this);
   const int k = degree();
   const int d = dimension();
-  if (k == 0) {
-    out->points_.Assign(d, 1, 0.0);
-    return;
-  }
-  out->points_.Assign(d, k);
+  if (k == 0) return BezierCurve(Matrix(d, 1, 0.0));
+  Matrix points(d, k);
   for (int j = 0; j < k; ++j) {
     for (int i = 0; i < d; ++i) {
-      out->points_(i, j) = k * (points_(i, j + 1) - points_(i, j));
+      points(i, j) = k * (points_(i, j + 1) - points_(i, j));
     }
   }
+  return BezierCurve(std::move(points));
 }
 
 Matrix BezierCurve::PowerBasisCoefficients() const {
-  Matrix coeffs;
-  PowerBasisCoefficientsInto(&coeffs);
-  return coeffs;
-}
-
-void BezierCurve::PowerBasisCoefficientsInto(Matrix* out) const {
   const int k = degree();
   const int d = dimension();
   // a_j = C(k,j) * sum_{i=0}^{j} (-1)^(j-i) C(j,i) p_i.
-  out->Assign(d, k + 1);
+  Matrix coeffs(d, k + 1);
   for (int j = 0; j <= k; ++j) {
     const double ckj = static_cast<double>(Binomial(k, j));
     for (int i = 0; i <= j; ++i) {
       const double sign = ((j - i) % 2 == 0) ? 1.0 : -1.0;
       const double w = ckj * sign * static_cast<double>(Binomial(j, i));
       for (int dim = 0; dim < d; ++dim) {
-        (*out)(dim, j) += w * points_(dim, i);
+        coeffs(dim, j) += w * points_(dim, i);
       }
     }
   }
+  return coeffs;
 }
 
 Matrix BezierCurve::Sample(int n) const {

@@ -46,20 +46,10 @@ class BezierCurve {
   /// The derivative as a lower-degree Bezier curve (hodograph).
   BezierCurve DerivativeCurve() const;
 
-  /// Caller-buffer variant: writes the hodograph into *out, reusing its
-  /// buffers (allocation-free once shapes have settled). Same values as
-  /// DerivativeCurve, which wraps this. ProjectionWorkspace rebinds its
-  /// hodograph state through here every outer iteration.
-  void DerivativeCurveInto(BezierCurve* out) const;
-
   /// Power-basis coefficients: column j of the returned d x (k+1) matrix is
-  /// the vector a_j with f(s) = sum_j a_j s^j. Used by the exact quintic
-  /// projection (Eq. 20).
+  /// the vector a_j with f(s) = sum_j a_j s^j. (The projection engine reads
+  /// the same coefficients from BezierEvalWorkspace::power_coefficients.)
   linalg::Matrix PowerBasisCoefficients() const;
-
-  /// Caller-buffer variant of PowerBasisCoefficients (which wraps this);
-  /// *out is reshaped in place.
-  void PowerBasisCoefficientsInto(linalg::Matrix* out) const;
 
   /// n+1 evenly spaced samples f(0), f(1/n), ..., f(1), as rows.
   linalg::Matrix Sample(int n) const;
@@ -138,6 +128,12 @@ class BezierEvalWorkspace {
   /// SimdOps::power_squared_distances_multi).
   void SquaredDistancesMulti(const double* xt, int lane_stride, int count,
                              const double* s, double* dist);
+
+  /// The bound curve's power-basis coefficients in the coefficient-major
+  /// layout the evaluators use: entries [j * d, (j + 1) * d) are a_j, with
+  /// f(s) = sum_j a_j s^j for j = 0..k. These are the exact values every
+  /// interior Evaluate / SquaredDistance works from.
+  const double* power_coefficients() const { return power_.data(); }
 
  private:
   const BezierCurve* curve_ = nullptr;

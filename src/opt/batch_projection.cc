@@ -140,9 +140,10 @@ std::vector<Vector> ProjectRowsBatchMultiCurve(
     (void)curve;
   }
 
-  if (options.method == ProjectionMethod::kQuinticRoots) {
-    // No grid stage to share across curves; the exact solver runs the
-    // plain single-curve batch per curve.
+  if (!UsesTileGrid(options.method)) {
+    // No tile grid stage to share across curves: these methods project
+    // through each curve's distance polynomial, one row at a time, so they
+    // run the plain single-curve batch per curve.
     for (int c = 0; c < m; ++c) {
       double total = 0.0;
       scores[static_cast<size_t>(c)] =

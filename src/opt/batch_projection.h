@@ -51,11 +51,13 @@ linalg::Vector ProjectRowsBatchFused(
     int segment_rows, double* total_squared_distance = nullptr);
 
 /// Batch-of-curves evaluation: projects every row of `data` onto each of
-/// the M `curves` in one sweep. Each RowBlock of rows is transposed into
-/// the SoA tile once and scored against all M bound workspaces while the
-/// tile is hot (ProjectionWorkspace::ProjectPackedBlock), so comparing
-/// model candidates — or serving several model versions over one feature
-/// batch — pays the pack and the row traffic once instead of M times.
+/// the M `curves`. For the tile methods (kGoldenSection, kGridOnly) each
+/// RowBlock of rows is transposed into the SoA tile once and scored
+/// against all M bound workspaces while the tile is hot
+/// (ProjectionWorkspace::ProjectPackedBlock), so comparing model
+/// candidates pays the pack and the row traffic once instead of M times.
+/// kNewton and kQuinticRoots have no tile stage and run one
+/// ProjectRowsBatch per curve.
 /// Element m of the result is bit-identical to
 /// ProjectRowsBatch(*curves[m], data, ...) with the same options (and
 /// thus to the per-row serial path), as is totals' element m when

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "curve/simd_backend.h"
@@ -27,6 +28,42 @@ constexpr double kTieRelTol = 1e-9;
 // (the previous s* for an unclipped bracket) — enough to detect the
 // minimiser escaping while keeping the warm path a handful of evaluations.
 constexpr int kLocalGridCells = 2;
+
+// Ulps of the largest magnitude in a scalar grid value xx - 2 p(s) + q(s)
+// that the grid's local-minimum test forgives (see PrepareRow).
+constexpr double kGridSlackUlps = 4.0;
+
+// sum_i term(i) over [0, d) in a fixed order: four dim-strided lanes
+// combined as ((l0 + l1) + (l2 + l3)) + tail. Plain C++ rather than a
+// SimdOps kernel, so the value is the same whatever backend is active.
+template <typename Term>
+double FixedOrderSum(int d, Term term) {
+  double lane0 = 0.0;
+  double lane1 = 0.0;
+  double lane2 = 0.0;
+  double lane3 = 0.0;
+  int i = 0;
+  for (; i + 4 <= d; i += 4) {
+    lane0 += term(i);
+    lane1 += term(i + 1);
+    lane2 += term(i + 2);
+    lane3 += term(i + 3);
+  }
+  double tail = 0.0;
+  for (; i < d; ++i) tail += term(i);
+  return ((lane0 + lane1) + (lane2 + lane3)) + tail;
+}
+
+double Dot(const double* u, const double* v, int d) {
+  return FixedOrderSum(d, [u, v](int i) { return u[i] * v[i]; });
+}
+
+double SquaredDistanceTo(const double* x, const double* f, int d) {
+  return FixedOrderSum(d, [x, f](int i) {
+    const double e = x[i] - f[i];
+    return e * e;
+  });
+}
 
 }  // namespace
 
@@ -60,32 +97,43 @@ void ProjectionWorkspace::Bind(const BezierCurve& curve,
   const int d = curve.dimension();
   const int g = std::max(options.grid_points, 2);
   grid_dist_.resize(static_cast<size_t>(g) + 1);
-  // Hodograph + second derivative: kNewton's solver needs them, as does the
-  // warm-start ProjectLocal refinement for every refining method — but a
-  // global-search-only bind (the kFull hot path rebinding every outer
-  // iteration) should not pay for curves it never evaluates.
-  if (options.method == ProjectionMethod::kNewton ||
-      options.enable_local_refinement) {
-    // In-place rebinds: the warm-start engine re-Binds every outer
-    // iteration, so the hodograph state must reuse its buffers rather than
-    // reallocate (the steady-state zero-allocation contract).
-    curve.DerivativeCurveInto(&hodograph_);
-    hodograph_.DerivativeCurveInto(&second_);
-    hodograph_eval_.Bind(hodograph_);
-    second_eval_.Bind(second_);
-    deriv_.resize(static_cast<size_t>(d));
-    curvature_.resize(static_cast<size_t>(d));
-    point_.resize(static_cast<size_t>(d));
+  grid_minima_.resize(static_cast<size_t>(g) + 1);
+  // The grid points s_i = i/g, f(s_i), and q(s_i) = ||f(s_i)||^2.
+  // eval_.Evaluate runs the exact per-coordinate operation sequence the
+  // per-point SquaredDistance paths run inline (including the exact end
+  // control points at s = 0 / s = 1), so the tile kernels' distances from
+  // these shared values are bit-identical to the per-point path, and q is
+  // taken at the very curve points the direct distances measure against.
+  grid_s_.resize(static_cast<size_t>(g) + 1);
+  grid_f_.resize((static_cast<size_t>(g) + 1) * static_cast<size_t>(d));
+  grid_q_.resize(static_cast<size_t>(g) + 1);
+  grid_q_max_ = 0.0;
+  for (int i = 0; i <= g; ++i) {
+    grid_s_[static_cast<size_t>(i)] = static_cast<double>(i) / g;
+    double* f = grid_f_.data() + static_cast<size_t>(i) * d;
+    eval_.Evaluate(grid_s_[static_cast<size_t>(i)], f);
+    grid_q_[static_cast<size_t>(i)] = Dot(f, f, d);
+    grid_q_max_ = std::max(grid_q_max_, grid_q_[static_cast<size_t>(i)]);
   }
-  if (options.method == ProjectionMethod::kQuinticRoots) {
-    curve.PowerBasisCoefficientsInto(&power_);
-    stationarity_coeffs_.resize(static_cast<size_t>(2 * curve.degree()));
-  } else {
-    // Block-path buffers for the grid methods; sized here so ProjectBlock
-    // allocates nothing. grid_f_ is filled lazily on the first block (the
-    // per-point path never needs it).
+  // q(s) = sum_m Q_m s^m with Q_m = sum_{i+j=m} a_i . a_j, so the curve
+  // term of the stationarity polynomial is -q'(s)/2 = -sum_m (m/2) Q_m
+  // s^(m-1), stored ascending.
+  const int k = curve.degree();
+  const double* a = eval_.power_coefficients();
+  q_half_slope_.assign(static_cast<size_t>(2 * k), 0.0);
+  for (int i = 0; i <= k; ++i) {
+    for (int j = 0; j <= k; ++j) {
+      if (i + j == 0) continue;
+      const double dot = Dot(a + static_cast<size_t>(i) * d,
+                             a + static_cast<size_t>(j) * d, d);
+      q_half_slope_[static_cast<size_t>(i + j - 1)] -= 0.5 * (i + j) * dot;
+    }
+  }
+  row_c_.resize(static_cast<size_t>(k) + 1);
+  row_h_.resize(static_cast<size_t>(2 * k));
+  if (UsesTileGrid(options.method)) {
+    // Tile-path buffers; sized here so ProjectBlock allocates nothing.
     block_.Bind(d);
-    grid_f_.resize((static_cast<size_t>(g) + 1) * static_cast<size_t>(d));
     grid_dist_block_.resize((static_cast<size_t>(g) + 1) *
                             RowBlock::kLaneStride);
     golden_xt_.resize(static_cast<size_t>(d) * RowBlock::kMaxRows);
@@ -96,8 +144,30 @@ void ProjectionWorkspace::Bind(const BezierCurve& curve,
     // keeps the task list allocation-free for every non-pathological block.
     golden_tasks_.reserve(static_cast<size_t>(RowBlock::kMaxRows) * 2);
   }
-  grid_f_ready_ = false;
   ResetEvaluationCounts();
+}
+
+void ProjectionWorkspace::PrepareRow(const double* x) {
+  const int k = curve_->degree();
+  const int d = curve_->dimension();
+  const double* a = eval_.power_coefficients();
+  row_xx_ = Dot(x, x, d);
+  double magnitude = 0.0;
+  for (int r = 0; r <= k; ++r) {
+    const double c = Dot(x, a + static_cast<size_t>(r) * d, d);
+    row_c_[static_cast<size_t>(r)] = c;
+    magnitude += std::fabs(c);
+  }
+  // h(s) = f'(s) . (x - f(s)) = sum_r r c_r s^(r-1) - q'(s)/2.
+  for (int t = 0; t < 2 * k; ++t) {
+    row_h_[static_cast<size_t>(t)] =
+        q_half_slope_[static_cast<size_t>(t)] +
+        (t < k ? (t + 1) * row_c_[static_cast<size_t>(t) + 1] : 0.0);
+  }
+  // Rounding allowance of the scalar grid values xx - 2 p(s) + q(s): a few
+  // ulps of the largest magnitudes the sum passes through.
+  row_slack_ = kGridSlackUlps * std::numeric_limits<double>::epsilon() *
+               (row_xx_ + grid_q_max_ + 2.0 * magnitude);
 }
 
 void ProjectionWorkspace::ResetEvaluationCounts() {
@@ -111,73 +181,27 @@ double ProjectionWorkspace::ObjectiveAt(const double* x, double s) {
   return eval_.SquaredDistance(x, s);
 }
 
-double ProjectionWorkspace::StationarityAt(const double* x, double s) {
-  // g(s) = f'(s) . (x - f(s)).
+double ProjectionWorkspace::StationarityWithSlope(double s, double* slope) {
+  // Horner on the prepared row's h and, alongside, on its derivative.
   ++stationarity_evals_;
-  hodograph_eval_.Evaluate(s, deriv_.data());
-  eval_.Evaluate(s, point_.data());
-  const int d = curve_->dimension();
-  double dot = 0.0;
-  for (int i = 0; i < d; ++i) {
-    dot += deriv_[static_cast<size_t>(i)] *
-           (x[i] - point_[static_cast<size_t>(i)]);
+  const int n = static_cast<int>(row_h_.size());
+  if (n == 0) {
+    *slope = 0.0;
+    return 0.0;
   }
-  return dot;
-}
-
-double ProjectionWorkspace::StationarityWithSlopeAt(const double* x, double s,
-                                                    double* slope) {
-  // Fused g(s) and g'(s): f(s), f'(s) and f''(s) are each evaluated once,
-  // where the StationarityAt + StationarityDerivativeAt pair evaluated f
-  // and f' twice. Each accumulator runs in the same order as the unfused
-  // helpers, so the values are bit-identical. Counts as one stationarity
-  // evaluation (the slope was never counted separately).
-  ++stationarity_evals_;
-  hodograph_eval_.Evaluate(s, deriv_.data());
-  second_eval_.Evaluate(s, curvature_.data());
-  eval_.Evaluate(s, point_.data());
-  const int d = curve_->dimension();
-  double value = 0.0;
-  double dot = 0.0;
-  double deriv_sq = 0.0;
-  for (int i = 0; i < d; ++i) {
-    const double residual = x[i] - point_[static_cast<size_t>(i)];
-    value += deriv_[static_cast<size_t>(i)] * residual;
-    dot += curvature_[static_cast<size_t>(i)] * residual;
-    deriv_sq += deriv_[static_cast<size_t>(i)] *
-                deriv_[static_cast<size_t>(i)];
+  double value = row_h_[static_cast<size_t>(n - 1)];
+  double dvalue = 0.0;
+  for (int j = n - 2; j >= 0; --j) {
+    dvalue = dvalue * s + value;
+    value = value * s + row_h_[static_cast<size_t>(j)];
   }
-  *slope = dot - deriv_sq;
+  *slope = dvalue;
   return value;
-}
-
-double ProjectionWorkspace::StationarityDerivativeAt(const double* x,
-                                                     double s) {
-  // g'(s) = f''(s) . (x - f(s)) - ||f'(s)||^2.
-  hodograph_eval_.Evaluate(s, deriv_.data());
-  second_eval_.Evaluate(s, curvature_.data());
-  eval_.Evaluate(s, point_.data());
-  const int d = curve_->dimension();
-  double dot = 0.0;
-  double deriv_sq = 0.0;
-  for (int i = 0; i < d; ++i) {
-    dot += curvature_[static_cast<size_t>(i)] *
-           (x[i] - point_[static_cast<size_t>(i)]);
-    deriv_sq += deriv_[static_cast<size_t>(i)] *
-                deriv_[static_cast<size_t>(i)];
-  }
-  return dot - deriv_sq;
 }
 
 void ProjectionWorkspace::ConsiderCandidate(const double* x, double s,
                                             ProjectionResult* best) {
-  const double dist = ObjectiveAt(x, s);
-  const double slack = kTieRelTol * (1.0 + best->squared_distance);
-  if (dist < best->squared_distance - slack ||
-      (dist <= best->squared_distance + slack && s > best->s)) {
-    best->squared_distance = dist;
-    best->s = s;
-  }
+  ConsiderPrecomputed(s, ObjectiveAt(x, s), best);
   ++best->evaluations;
 }
 
@@ -240,59 +264,74 @@ ProjectionResult ProjectionWorkspace::FinishGridFromDists(const double* x,
   return best;
 }
 
-// Safeguarded Newton refinement of every grid-local minimum: iterates on
-// g(s) = d/ds ||x - f(s)||^2 / -2 = f'(s).(x - f(s)), with derivative
-// g'(s) = f''(s).(x - f(s)) - ||f'(s)||^2, falling back to bisection when a
-// step leaves the bracket.
+// The grid scan runs on the distance polynomial, then safeguarded Newton
+// refines every grid-local minimum on the row's stationarity polynomial h;
+// each refined candidate is scored by its direct d-dimensional distance.
 ProjectionResult ProjectionWorkspace::ProjectViaNewton(const double* x) {
   const int g = std::max(options_.grid_points, 2);
-  for (int i = 0; i <= g; ++i) {
-    grid_dist_[static_cast<size_t>(i)] =
-        ObjectiveAt(x, static_cast<double>(i) / g);
+  const int k = curve_->degree();
+  PrepareRow(x);
+  // The end values are the direct distances to p_0 and p_k, the interior
+  // ones xx - 2 sum_r c_r s^r + q(s), with the Horner passes run level by
+  // level across the grid (one loop over independent lanes per level). All
+  // g+1 count as objective evaluations, as the direct grid's did.
+  double* __restrict gd = grid_dist_.data();
+  const double* __restrict gs = grid_s_.data();
+  const double* __restrict gq = grid_q_.data();
+  const int d = curve_->dimension();
+  gd[0] = SquaredDistanceTo(x, grid_f_.data(), d);
+  gd[g] = SquaredDistanceTo(x, grid_f_.data() + static_cast<size_t>(g) * d, d);
+  const double top = row_c_[static_cast<size_t>(k)];
+  for (int i = 1; i < g; ++i) gd[i] = top;
+  for (int r = k - 1; r >= 0; --r) {
+    const double c = row_c_[static_cast<size_t>(r)];
+    for (int i = 1; i < g; ++i) gd[i] = gd[i] * gs[i] + c;
   }
-  return FinishNewtonFromDists(x, grid_dist_.data(), /*stride=*/1);
-}
+  const double xx = row_xx_;
+  for (int i = 1; i < g; ++i) gd[i] = (xx - 2.0 * gd[i]) + gq[i];
+  objective_evals_ += g + 1;
 
-ProjectionResult ProjectionWorkspace::FinishNewtonFromDists(const double* x,
-                                                            const double* gd,
-                                                            int stride) {
-  const int g = std::max(options_.grid_points, 2);
   ProjectionResult best;
   best.s = 0.0;
   best.squared_distance = gd[0];
   best.evaluations = g + 1;
-  // The s = 1 boundary candidate was already evaluated by the grid pass;
-  // reuse its grid entry so the evaluation is not double-counted.
-  ConsiderPrecomputed(1.0, gd[static_cast<size_t>(g) * stride], &best);
-
-  for (int i = 0; i <= g; ++i) {
-    const bool left_ok =
-        i == 0 || gd[static_cast<size_t>(i) * stride] <=
-                      gd[static_cast<size_t>(i - 1) * stride];
-    const bool right_ok =
-        i == g || gd[static_cast<size_t>(i) * stride] <=
-                      gd[static_cast<size_t>(i + 1) * stride];
-    if (!left_ok || !right_ok) continue;
-    const double lo = std::max(0.0, static_cast<double>(i - 1) / g);
-    const double hi = std::min(1.0, static_cast<double>(i + 1) / g);
-    const double s = NewtonRefine(x, lo, hi, &best);
+  ConsiderPrecomputed(1.0, gd[g], &best);
+  // A point is a local minimum unless a neighbour is lower by more than the
+  // scalar form's rounding, so every bracket the exact values would give
+  // (plateaus included) is refined. The minima are collected first, without
+  // a data-dependent branch per grid point, then refined in ascending order.
+  const double slack = row_slack_;
+  int* __restrict minima = grid_minima_.data();
+  int num_minima = 0;
+  minima[num_minima] = 0;
+  num_minima += gd[0] <= gd[1] + slack;
+  for (int i = 1; i < g; ++i) {
+    minima[num_minima] = i;
+    num_minima += (gd[i] <= gd[i - 1] + slack) & (gd[i] <= gd[i + 1] + slack);
+  }
+  minima[num_minima] = g;
+  num_minima += gd[g] <= gd[g - 1] + slack;
+  for (int m = 0; m < num_minima; ++m) {
+    const int i = minima[m];
+    const double s = NewtonRefine(gs[std::max(i - 1, 0)],
+                                  gs[std::min(i + 1, g)], &best);
     ConsiderCandidate(x, std::clamp(s, 0.0, 1.0), &best);
   }
   return best;
 }
 
-double ProjectionWorkspace::NewtonRefine(const double* x, double lo,
-                                         double hi, ProjectionResult* best) {
-  // g is decreasing through a minimum: g(lo) >= 0 >= g(hi) is the usual
+double ProjectionWorkspace::NewtonRefine(double lo, double hi,
+                                         ProjectionResult* best) {
+  // h is decreasing through a minimum: h(lo) >= 0 >= h(hi) is the usual
   // situation; when signs do not bracket (boundary minima) Newton from
   // the midpoint with clamping still behaves.
   double s = 0.5 * (lo + hi);
   for (int iter = 0; iter < 50; ++iter) {
     double slope = 0.0;
-    const double value = StationarityWithSlopeAt(x, s, &slope);
+    const double value = StationarityWithSlope(s, &slope);
     ++best->evaluations;
     if (std::fabs(value) < options_.tol) break;
-    // Shrink the safeguard bracket using the sign of g.
+    // Shrink the safeguard bracket using the sign of h.
     if (value > 0.0) {
       lo = s;
     } else {
@@ -317,8 +356,6 @@ ProjectionResult ProjectionWorkspace::ProjectLocal(const double* x, double lo,
   // Grid-only has no refinement stage to localise; a warm start degenerates
   // to the full grid argmin.
   if (options_.method == ProjectionMethod::kGridOnly) return Project(x);
-  // Requires a bind with kNewton or enable_local_refinement set.
-  assert(hodograph_eval_.bound());
   lo = std::clamp(lo, 0.0, 1.0);
   hi = std::clamp(hi, 0.0, 1.0);
   assert(hi > lo);
@@ -333,15 +370,9 @@ ProjectionResult ProjectionWorkspace::ProjectLocal(const double* x, double lo,
   for (int j = 1; j <= kLocalGridCells; ++j) {
     const double s =
         (j == kLocalGridCells) ? hi : lo + width * j / kLocalGridCells;
-    const double dist = ObjectiveAt(x, s);
-    ++best.evaluations;
-    const double slack = kTieRelTol * (1.0 + best.squared_distance);
-    if (dist < best.squared_distance - slack ||
-        (dist <= best.squared_distance + slack && s > best.s)) {
-      best.squared_distance = dist;
-      best.s = s;
-      best_idx = j;
-    }
+    const double previous = best.s;
+    ConsiderCandidate(x, s, &best);
+    if (best.s != previous) best_idx = j;  // s ascends: a win moves best.s
   }
   // An argmin on a bracket edge that is not a domain boundary means the
   // true minimiser may sit outside the bracket: report and let the caller
@@ -356,7 +387,8 @@ ProjectionResult ProjectionWorkspace::ProjectLocal(const double* x, double lo,
   const double cell_hi = (best_idx == kLocalGridCells)
                              ? hi
                              : lo + width * (best_idx + 1) / kLocalGridCells;
-  const double s = NewtonRefine(x, cell_lo, cell_hi, &best);
+  PrepareRow(x);
+  const double s = NewtonRefine(cell_lo, cell_hi, &best);
   ConsiderCandidate(x, std::clamp(s, 0.0, 1.0), &best);
   return best;
 }
@@ -368,7 +400,6 @@ ProjectionResult ProjectionWorkspace::ProjectSeeded(const double* x,
   // Grid-only has no refinement stage; degenerate to the full grid argmin,
   // exactly like ProjectLocal.
   if (options_.method == ProjectionMethod::kGridOnly) return Project(x);
-  assert(hodograph_eval_.bound());
   lo = std::clamp(lo, 0.0, 1.0);
   hi = std::clamp(hi, 0.0, 1.0);
   assert(hi > lo);
@@ -378,31 +409,17 @@ ProjectionResult ProjectionWorkspace::ProjectSeeded(const double* x,
   best.s = seed;
   best.squared_distance = ObjectiveAt(x, seed);
   best.evaluations = 1;
-  const double s = NewtonRefine(x, lo, hi, &best);
+  PrepareRow(x);
+  const double s = NewtonRefine(lo, hi, &best);
   ConsiderCandidate(x, std::clamp(s, 0.0, 1.0), &best);
   return best;
 }
 
 ProjectionResult ProjectionWorkspace::ProjectViaPolynomialRoots(
     const double* x) {
-  const int k = curve_->degree();
-  const int d = curve_->dimension();
-
-  // f(s) = sum_j a_j s^j (column j of `power_`), so
-  // r(s) = x - f(s) has coefficients r_0 = x - a_0, r_j = -a_j (j >= 1) and
-  // f'(s) has coefficients (j+1) a_{j+1}. The stationarity condition
-  // g(s) = f'(s) . (x - f(s)) = 0 is a degree 2k-1 polynomial (Eq. 20).
-  std::fill(stationarity_coeffs_.begin(), stationarity_coeffs_.end(), 0.0);
-  for (int dim = 0; dim < d; ++dim) {
-    for (int i = 0; i + 1 <= k; ++i) {
-      const double fprime_i = (i + 1) * power_(dim, i + 1);
-      for (int j = 0; j <= k; ++j) {
-        const double r_j =
-            (j == 0) ? (x[dim] - power_(dim, 0)) : -power_(dim, j);
-        stationarity_coeffs_[static_cast<size_t>(i + j)] += fprime_i * r_j;
-      }
-    }
-  }
+  // The row's stationarity polynomial h is exactly Eq. 20's degree-2k-1
+  // condition f'(s) . (x - f(s)) = 0.
+  PrepareRow(x);
   ProjectionResult best;
   best.s = 0.0;
   best.squared_distance = ObjectiveAt(x, 0.0);
@@ -410,13 +427,12 @@ ProjectionResult ProjectionWorkspace::ProjectViaPolynomialRoots(
   ConsiderCandidate(x, 1.0, &best);
   const std::int64_t sturm_before = root_workspace_.polynomial_evaluations();
   const int num_roots = root_workspace_.RealRootsInInterval(
-      stationarity_coeffs_.data(),
-      static_cast<int>(stationarity_coeffs_.size()), 0.0, 1.0, options_.tol,
+      row_h_.data(), static_cast<int>(row_h_.size()), 0.0, 1.0, options_.tol,
       roots_, PolynomialRootWorkspace::kMaxDegree);
   if (num_roots >= 0) {
-    // The chain evaluations are evaluations of the stationarity polynomial
-    // g(s): account for them like kNewton's stationarity probes so the
-    // methods' ProjectionResult::evaluations are comparable.
+    // The chain evaluations are evaluations of the stationarity polynomial:
+    // account for them like kNewton's stationarity probes so the methods'
+    // ProjectionResult::evaluations are comparable.
     const std::int64_t sturm =
         root_workspace_.polynomial_evaluations() - sturm_before;
     stationarity_evals_ += sturm;
@@ -428,7 +444,7 @@ ProjectionResult ProjectionWorkspace::ProjectViaPolynomialRoots(
   }
   // Degree beyond the fixed workspace capacity (k > 10): allocating
   // fallback, identical roots.
-  const Polynomial stationarity{std::vector<double>(stationarity_coeffs_)};
+  const Polynomial stationarity{std::vector<double>(row_h_)};
   for (double root :
        stationarity.RealRootsInInterval(0.0, 1.0, options_.tol)) {
     ConsiderCandidate(x, root, &best);
@@ -451,21 +467,6 @@ ProjectionResult ProjectionWorkspace::Project(const double* x) {
   return ProjectViaGrid(x, /*refine=*/true);
 }
 
-void ProjectionWorkspace::EnsureGridCurveValues() {
-  if (grid_f_ready_) return;
-  const int g = std::max(options_.grid_points, 2);
-  const int d = curve_->dimension();
-  // eval_.Evaluate runs the exact per-coordinate operation sequence the
-  // per-point SquaredDistance paths run inline (including the exact end
-  // control points at s = 0 / s = 1), so distances computed from these
-  // shared values are bit-identical to the per-point path.
-  for (int i = 0; i <= g; ++i) {
-    eval_.Evaluate(static_cast<double>(i) / g,
-                   grid_f_.data() + static_cast<size_t>(i) * d);
-  }
-  grid_f_ready_ = true;
-}
-
 void ProjectionWorkspace::ProjectPackedBlock(const RowBlock& block,
                                              const double* rows,
                                              int row_stride, double* s_out,
@@ -474,10 +475,9 @@ void ProjectionWorkspace::ProjectPackedBlock(const RowBlock& block,
   const int count = block.rows();
   if (count == 0) return;
   assert(block.dim() == curve_->dimension());
-  assert(options_.method != ProjectionMethod::kQuinticRoots);
+  assert(UsesTileGrid(options_.method));
   const int g = std::max(options_.grid_points, 2);
   const int d = curve_->dimension();
-  EnsureGridCurveValues();
 
   // Grid stage, one kernel sweep over the whole block per grid point: the
   // interior points use the fused reference ordering (the per-point hot
@@ -528,28 +528,15 @@ void ProjectionWorkspace::ProjectPackedBlock(const RowBlock& block,
     return;
   }
 
-  // Newton refinement (divergent solver state), the refinement-free grid
-  // scan and the scalar backend's Golden Section stay per row, fed by each
-  // row's column of kernel-computed grid distances.
+  // The refinement-free grid scan and the scalar backend's Golden Section
+  // stay per row, fed by each row's column of kernel-computed grid
+  // distances.
+  const bool refine = options_.method == ProjectionMethod::kGoldenSection;
   for (int i = 0; i < count; ++i) {
     const double* x = rows + static_cast<size_t>(i) * row_stride;
-    const double* gd = grid_dist_block_.data() + i;
-    ProjectionResult result;
-    switch (options_.method) {
-      case ProjectionMethod::kGoldenSection:
-        result = FinishGridFromDists(x, gd, RowBlock::kLaneStride,
-                                     /*refine=*/true);
-        break;
-      case ProjectionMethod::kGridOnly:
-        result = FinishGridFromDists(x, gd, RowBlock::kLaneStride,
-                                     /*refine=*/false);
-        break;
-      case ProjectionMethod::kNewton:
-        result = FinishNewtonFromDists(x, gd, RowBlock::kLaneStride);
-        break;
-      case ProjectionMethod::kQuinticRoots:
-        break;  // unreachable: asserted above
-    }
+    const ProjectionResult result =
+        FinishGridFromDists(x, grid_dist_block_.data() + i,
+                            RowBlock::kLaneStride, refine);
     s_out[i] = result.s;
     if (squared_out != nullptr) squared_out[i] = result.squared_distance;
   }
@@ -742,15 +729,15 @@ void ProjectionWorkspace::ProjectBlock(const double* rows, int count,
                                        int row_stride, double* s_out,
                                        double* squared_out) {
   assert(bound());
-  // The tile kernels vectorise across rows, so below a vector's worth of
-  // rows the block path is pure overhead (packing plus one indirect kernel
-  // call per grid point, each processing a near-empty tile) — single-row
-  // serving queries are the common case here. The per-row path is
-  // bit-identical (see ProjectPackedBlock), so this is purely a speed
-  // choice. Exact root solving has no grid stage to batch at any size.
+  // kNewton and kQuinticRoots do one d-dimensional sweep per row and then
+  // scalar work, so they have nothing to share across rows and run the
+  // per-row routine. For the tile methods, below a vector's worth of rows
+  // the block path is pure overhead (packing plus one indirect kernel call
+  // per grid point, each processing a near-empty tile). The per-row path
+  // is bit-identical (see ProjectPackedBlock), so this is purely a speed
+  // choice.
   constexpr int kBlockMinRows = 8;
-  if (options_.method == ProjectionMethod::kQuinticRoots ||
-      count < kBlockMinRows) {
+  if (!UsesTileGrid(options_.method) || count < kBlockMinRows) {
     for (int i = 0; i < count; ++i) {
       const ProjectionResult result =
           Project(rows + static_cast<size_t>(i) * row_stride);

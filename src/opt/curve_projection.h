@@ -23,13 +23,23 @@ enum class ProjectionMethod {
   kQuinticRoots,
   /// Pure grid argmin; ablation baseline showing why refinement matters.
   kGridOnly,
-  /// Same grid scan as kGoldenSection, then safeguarded Newton on the
+  /// Same grid as kGoldenSection, then safeguarded Newton on the
   /// stationarity condition inside every grid-local minimum's bracket — the
-  /// Gradient/Gauss-Newton family Pastva [20] used for Bezier fitting.
-  /// Quadratic local convergence, about half GSS's evaluations per row; the
-  /// default.
+  /// Gradient/Gauss-Newton family Pastva [20] used for Bezier fitting. Both
+  /// run on the scalar distance polynomial (see ProjectionWorkspace), so a
+  /// row costs one d-dimensional sweep plus a direct distance per
+  /// candidate. Quadratic local convergence; the default.
   kNewton,
 };
+
+/// Whether `method` runs its grid stage on the SIMD tile kernels
+/// (ProjectionWorkspace::ProjectPackedBlock): the Algorithm 1 reference and
+/// its grid-only ablation. kNewton and kQuinticRoots project row by row
+/// through the distance polynomial instead.
+inline bool UsesTileGrid(ProjectionMethod method) {
+  return method == ProjectionMethod::kGoldenSection ||
+         method == ProjectionMethod::kGridOnly;
+}
 
 struct ProjectionOptions {
   ProjectionMethod method = ProjectionMethod::kNewton;
@@ -39,12 +49,6 @@ struct ProjectionOptions {
   /// Bracket-width tolerance for Golden Section refinement, stationarity and
   /// step tolerance for kNewton, and root tolerance for kQuinticRoots.
   double tol = 1e-10;
-  /// Build the hodograph / second-derivative state ProjectLocal's Newton
-  /// refinement needs even when `method` is not kNewton. Set by
-  /// IncrementalProjector for its warm-start workspaces; leave off for
-  /// global-search-only binds so ProjectRowsBatch's per-iteration rebinds
-  /// stay as cheap as before.
-  bool enable_local_refinement = false;
 };
 
 struct ProjectionResult {
@@ -65,12 +69,20 @@ struct ProjectionResult {
 
 /// Reusable per-worker engine for projecting many points onto one curve.
 ///
-/// Bind() hoists all per-curve work out of the per-point loop — the Bezier
-/// evaluation workspace (with its cubic Horner fast path), the grid scratch,
-/// the hodograph / second-derivative curves (kNewton and the warm-start
-/// local refinement), and the power-basis coefficients of the stationarity
-/// polynomial (kQuinticRoots). After the Bind, Project() and ProjectLocal()
-/// are heap-allocation-free for every method — kQuinticRoots runs its Sturm
+/// Bind() hoists all per-curve work out of the per-point loop: the Bezier
+/// evaluation workspace, the curve values at the grid points, and the
+/// *distance polynomial*. With power coefficients a_r (f(s) = sum_r a_r s^r)
+///
+///   ||x - f(s)||^2 = ||x||^2 - 2 sum_r (x . a_r) s^r + q(s),
+///
+/// where q(s) = ||f(s)||^2 is a degree-2k polynomial of the curve alone.
+/// Bind stores q's derivative and q at the grid points, so a kNewton row
+/// costs ||x||^2 and the k+1 dot products x . a_r, then a grid scan and a
+/// Newton solve on the stationarity polynomial (Eq. 20) that do not grow
+/// with d; only the two grid end values and each refined candidate are
+/// direct d-dimensional distances. After the Bind, Project(),
+/// ProjectBlock(), ProjectLocal() and ProjectSeeded() are
+/// heap-allocation-free for every method — kQuinticRoots runs its Sturm
 /// root isolation inside a fixed-capacity PolynomialRootWorkspace.
 ///
 /// One workspace per thread: Project() mutates the scratch, so workspaces
@@ -78,9 +90,6 @@ struct ProjectionResult {
 class ProjectionWorkspace {
  public:
   ProjectionWorkspace() = default;
-  // Not copyable/movable: hodograph_eval_ / second_eval_ hold pointers into
-  // this object's own hodograph_ / second_ members, which a copy or move
-  // would leave aimed at the source.
   ProjectionWorkspace(const ProjectionWorkspace&) = delete;
   ProjectionWorkspace& operator=(const ProjectionWorkspace&) = delete;
 
@@ -101,44 +110,40 @@ class ProjectionWorkspace {
   /// Projects one point given as `dimension()` contiguous doubles.
   ProjectionResult Project(const double* x);
 
-  /// Projects `count` row-major rows (row i at rows + i * row_stride) in
-  /// RowBlock-sized sub-blocks: the rows are transposed into the bound
-  /// structure-of-arrays tile and the grid stage runs through the active
-  /// curve::SimdOps kernels — the curve value f(s_g) is evaluated once per
-  /// grid point for the whole block (instead of once per row) and the
-  /// residual distances vectorise across rows, one row per SIMD lane.
-  /// Refinement (Golden Section / Newton) then runs per row exactly as
-  /// Project would. Writes s_out[i] and, when non-null, squared_out[i].
+  /// Projects `count` row-major rows (row i at rows + i * row_stride);
+  /// writes s_out[i] and, when non-null, squared_out[i]. The tile methods
+  /// (UsesTileGrid) run the grid stage of RowBlock-sized sub-blocks through
+  /// the active curve::SimdOps kernels; kNewton and kQuinticRoots have
+  /// nothing to share across rows and run Project per row.
   ///
   /// Bit-identical to calling Project(row i) for every row, for every
   /// method and every backend (the SimdOps contract): the serial, batch,
   /// warm-start and serving paths may mix the two entry points freely.
-  /// kQuinticRoots has no grid stage and simply loops Project. Evaluation
-  /// accounting is preserved: the workspace counters and the implied
-  /// per-row evaluations match the per-row path exactly.
+  /// Evaluation accounting is preserved: the workspace counters and the
+  /// implied per-row evaluations match the per-row path exactly.
   void ProjectBlock(const double* rows, int count, int row_stride,
                     double* s_out, double* squared_out);
 
-  /// The ProjectBlock core for rows already packed into a caller-owned
-  /// tile: `block` must hold the same `count <= RowBlock::kMaxRows` rows as
-  /// the row-major `rows` pointer (refinement reads the row-major form).
-  /// Exposed so batch-of-curves evaluation can pack a block once and score
-  /// it against many bound workspaces (see ProjectRowsBatchMultiCurve).
+  /// The ProjectBlock tile core of kGoldenSection and kGridOnly, for rows
+  /// already packed into a caller-owned tile: `block` must hold the same
+  /// `count <= RowBlock::kMaxRows` rows as the row-major `rows` pointer
+  /// (refinement reads the row-major form). Exposed so batch-of-curves
+  /// evaluation can pack a block once and score it against many bound
+  /// workspaces (see ProjectRowsBatchMultiCurve).
   void ProjectPackedBlock(const RowBlock& block, const double* rows,
                           int row_stride, double* s_out, double* squared_out);
 
   /// Warm-start local refinement: finds the best candidate inside the
   /// bracket [lo, hi] (a sub-interval of [0, 1]) only, via a small interior
-  /// grid plus safeguarded Newton on the stationarity condition (with
+  /// grid plus safeguarded Newton on the stationarity polynomial (with
   /// bisection safeguards when a step leaves the bracket).
   /// Sets *hit_edge when the interior grid's argmin landed on a bracket
   /// edge that is not a domain boundary — the true minimiser may then lie
   /// outside the bracket and the caller (IncrementalProjector) must fall
   /// back to the global Project(). kGridOnly has no refinement stage, so
-  /// this method delegates straight to Project() for it. Requires a Bind
-  /// with kNewton or ProjectionOptions::enable_local_refinement set (the
-  /// Newton step reads the hodograph state). No global guarantees; same
-  /// sup tie-break as Project within the bracket.
+  /// this method delegates straight to Project() for it. Works after a Bind
+  /// with any method. No global guarantees; same sup tie-break as Project
+  /// within the bracket.
   ProjectionResult ProjectLocal(const double* x, double lo, double hi,
                                 bool* hit_edge);
 
@@ -149,15 +154,15 @@ class ProjectionWorkspace {
   /// a couple of evaluations instead of ProjectLocal's probe. There is no
   /// edge detection; the caller must guard the result with the certified
   /// curve-movement distance bound and fall back to Project() when it
-  /// fails. Same bind requirements and sup tie-break as ProjectLocal.
+  /// fails. Same sup tie-break as ProjectLocal.
   ProjectionResult ProjectSeeded(const double* x, double seed, double lo,
                                  double hi);
 
   /// Evaluation accounting since the last Bind/ResetEvaluationCounts:
-  /// squared-distance evaluations plus stationarity evaluations (kNewton
-  /// and the warm-start refinement count curve-space evaluations of
-  /// g(s) = f'(s).(x - f(s)); kQuinticRoots counts the Sturm-chain Horner
-  /// evaluations of the same polynomial). Tests assert that the sum matches
+  /// squared-distance evaluations (a grid scan's g+1 values count alike,
+  /// direct or from the distance polynomial) plus stationarity evaluations
+  /// (one per Newton step, value and slope together; kQuinticRoots counts
+  /// its Sturm-chain Horner evaluations). Tests assert that the sum matches
   /// the accumulated ProjectionResult::evaluations for every method.
   std::int64_t objective_evaluations() const { return objective_evals_; }
   std::int64_t stationarity_evaluations() const { return stationarity_evals_; }
@@ -167,29 +172,32 @@ class ProjectionWorkspace {
   friend struct ProjectionObjective;
 
   double ObjectiveAt(const double* x, double s);
-  double StationarityAt(const double* x, double s);
-  double StationarityDerivativeAt(const double* x, double s);
-  /// g(s) and g'(s) in one pass (f, f', f'' each evaluated once); counts as
-  /// a single stationarity evaluation, like StationarityAt.
-  double StationarityWithSlopeAt(const double* x, double s, double* slope);
+  /// The prepared row's stationarity polynomial h(s) = f'(s).(x - f(s))
+  /// and, through *slope, h'(s): one Horner pass, counted as one
+  /// stationarity evaluation. Requires PrepareRow(x).
+  double StationarityWithSlope(double s, double* slope);
   void ConsiderCandidate(const double* x, double s, ProjectionResult* best);
   /// Same comparison/tie-break as ConsiderCandidate for a value that was
   /// already evaluated (and counted) elsewhere; performs no evaluation.
   static void ConsiderPrecomputed(double s, double dist,
                                   ProjectionResult* best);
 
+  /// The distance polynomial's per-row part: ||x||^2 and c_r = x . a_r (fixed-order dot
+  /// products), the coefficients of the row's stationarity polynomial
+  /// h(s) = sum_r r c_r s^(r-1) - q'(s)/2 into row_h_, and the rounding
+  /// allowance of the row's scalar grid values.
+  void PrepareRow(const double* x);
+
   ProjectionResult ProjectViaGrid(const double* x, bool refine);
   ProjectionResult ProjectViaNewton(const double* x);
   ProjectionResult ProjectViaPolynomialRoots(const double* x);
-  /// Shared back halves of the grid methods: given the g+1 grid distances
+  /// Shared back half of the tile methods: given the g+1 grid distances
   /// for one point (entry i at gd[i * stride]), run the bracket detection
-  /// and refinement exactly as ProjectViaGrid / ProjectViaNewton do. The
-  /// per-point path passes grid_dist_ with stride 1; the block path passes
-  /// a kernel-filled column of grid_dist_block_ with stride kLaneStride.
+  /// and refinement exactly as ProjectViaGrid does. The per-point path
+  /// passes grid_dist_ with stride 1; the block path passes a kernel-filled
+  /// column of grid_dist_block_ with stride kLaneStride.
   ProjectionResult FinishGridFromDists(const double* x, const double* gd,
                                        int stride, bool refine);
-  ProjectionResult FinishNewtonFromDists(const double* x, const double* gd,
-                                         int stride);
   /// Lock-step Golden Section refinement, the kGoldenSection back half of
   /// ProjectPackedBlock: collects every grid-local-minimum bracket of the
   /// block's rows into tasks and advances all of their searches together —
@@ -204,13 +212,10 @@ class ProjectionWorkspace {
   /// candidate to results[task.row] in the per-row path's bracket order.
   void RefineGoldenBlock(const double* rows, int row_stride, int count,
                          ProjectionResult* results);
-  /// Fills grid_f_ (f(s_g) for every grid point, lazily, once per Bind) for
-  /// the block path's shared-curve-value kernels.
-  void EnsureGridCurveValues();
-  /// Safeguarded Newton on g(s) = f'(s).(x - f(s)) over [lo, hi], seeded at
-  /// the midpoint; the shared refinement core of kNewton and ProjectLocal.
-  double NewtonRefine(const double* x, double lo, double hi,
-                      ProjectionResult* best);
+  /// Safeguarded Newton on the prepared row's stationarity polynomial over
+  /// [lo, hi], seeded at the midpoint; the shared refinement core of
+  /// kNewton, ProjectLocal and ProjectSeeded. Requires PrepareRow(x).
+  double NewtonRefine(double lo, double hi, ProjectionResult* best);
 
   const curve::BezierCurve* curve_ = nullptr;
   /// Non-null only after BindShared: co-owns the bound curve.
@@ -218,35 +223,36 @@ class ProjectionWorkspace {
   ProjectionOptions options_;
   curve::BezierEvalWorkspace eval_;
 
-  // Hodograph and second derivative, built per Bind: kNewton's solver and
-  // the warm-start local refinement both need them.
-  curve::BezierCurve hodograph_;
-  curve::BezierCurve second_;
-  curve::BezierEvalWorkspace hodograph_eval_;
-  curve::BezierEvalWorkspace second_eval_;
-  std::vector<double> deriv_;      // d scratch: f'(s)
-  std::vector<double> curvature_;  // d scratch: f''(s)
-  std::vector<double> point_;      // d scratch: f(s)
+  // Distance polynomial, per Bind: the curve term -q'(s)/2 of the
+  // stationarity polynomial (2k coefficients, ascending), the grid points
+  // s_i = i/g, and q(s_i) = ||f(s_i)||^2 from the exact grid_f_ values.
+  std::vector<double> q_half_slope_;
+  std::vector<double> grid_s_;
+  std::vector<double> grid_q_;
+  double grid_q_max_ = 0.0;
+  // Per-row scratch (PrepareRow): c_r = x . a_r (k+1 entries), ||x||^2,
+  // h's 2k ascending coefficients and the grid's rounding allowance.
+  std::vector<double> row_c_;
+  double row_xx_ = 0.0;
+  std::vector<double> row_h_;
+  double row_slack_ = 0.0;
 
-  // kQuinticRoots: power-basis coefficients of the curve (per Bind), the
-  // stationarity coefficients (rebuilt per point, fixed size 2k), and the
-  // fixed-capacity Sturm scratch + root output buffer.
-  linalg::Matrix power_;
-  std::vector<double> stationarity_coeffs_;
+  // kQuinticRoots: the fixed-capacity Sturm scratch + root output buffer.
   PolynomialRootWorkspace root_workspace_;
   double roots_[PolynomialRootWorkspace::kMaxDegree];
 
   std::vector<double> grid_dist_;  // grid_points + 1 distances
-
-  // Block-path state (sized per Bind, so the block sweeps stay
-  // allocation-free): the SoA tile, the shared curve values f(s_g) for all
-  // grid points ((g+1) x d, filled lazily once per Bind), and the
-  // kernel-written grid distances ((g+1) x kLaneStride; the column with
-  // stride kLaneStride holds one row's grid).
-  RowBlock block_;
+  std::vector<int> grid_minima_;   // kNewton's grid-local minima, per row
+  // f(s_i) at all grid points ((g+1) x d, per Bind): the tile kernels'
+  // shared curve values and the source of grid_q_.
   std::vector<double> grid_f_;
+
+  // Tile-path state of kGoldenSection / kGridOnly (sized per Bind, so the
+  // block sweeps stay allocation-free): the SoA tile and the kernel-written
+  // grid distances ((g+1) x kLaneStride; the column with stride
+  // kLaneStride holds one row's grid).
+  RowBlock block_;
   std::vector<double> grid_dist_block_;
-  bool grid_f_ready_ = false;
 
   /// Where a lock-step Golden Section task is in its search (see
   /// RefineGoldenBlock): the initial probes (c then d), the per-iteration

@@ -20,11 +20,6 @@ void IncrementalProjector::Bind(const Matrix& data,
                                 ThreadPool* pool) {
   data_ = &data;
   options_ = options;
-  // Warm-started calls refine via ProjectLocal's Newton step, which needs
-  // the hodograph state whatever the configured method — except kGridOnly,
-  // whose ProjectLocal delegates straight to the global search.
-  options_.projection.enable_local_refinement =
-      options.projection.method != ProjectionMethod::kGridOnly;
   pool_ = pool;
   const int parallelism =
       pool != nullptr ? std::max(pool->parallelism(), 1) : 1;

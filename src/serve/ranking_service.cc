@@ -8,7 +8,6 @@
 #include "common/stringutil.h"
 #include "curve/bezier.h"
 #include "obs/export.h"
-#include "rank/ranking_list.h"
 
 namespace rpc::serve {
 
@@ -26,6 +25,38 @@ using Clock = std::chrono::steady_clock;
 /// block per deadline check, so the SIMD batch layout leaves cancellation
 /// granularity unchanged.
 constexpr int kDeadlineCheckStride = opt::RowBlock::kMaxRows;
+
+// 1-based in-batch ranks, best (highest score) first, ties toward the lower
+// row index: RankingList's order without its labels, stable-sort buffer or
+// tie-averaged ranks. The ranks buffer first holds the sorted row indices,
+// which are then inverted in place by following the permutation's cycles
+// (a visited entry holds its negated rank).
+void RankWithinBatch(const Vector& scores, std::vector<int>* ranks) {
+  const int n = scores.size();
+  ranks->resize(static_cast<size_t>(n));
+  int* order = ranks->data();
+  if (n == 1) {
+    order[0] = 1;
+    return;
+  }
+  const double* score = scores.data().data();
+  for (int i = 0; i < n; ++i) order[i] = i;
+  std::sort(order, order + n, [score](int a, int b) {
+    return score[a] != score[b] ? score[a] > score[b] : a < b;
+  });
+  for (int start = 0; start < n; ++start) {
+    if (order[start] < 0) continue;
+    int position = start;
+    int row = order[start];
+    while (row >= 0) {
+      const int next = order[row];
+      order[row] = -(position + 1);
+      position = row;
+      row = next;
+    }
+  }
+  for (int i = 0; i < n; ++i) order[i] = -order[i];
+}
 
 std::int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -865,12 +896,7 @@ Result<RankedBatch> RankingService::QueryImpl(const std::string& dataset_id,
     obs::EmitSpan(trace_id, "serve.query", TpNs(start), TpNs(done));
   }
 
-  // Ranks within the batch, with RankingList's deterministic tie-break.
-  const rank::RankingList list(batch.scores, /*higher_is_better=*/true);
-  batch.ranks.resize(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    batch.ranks[static_cast<size_t>(i)] = list.PositionOf(i);
-  }
+  RankWithinBatch(batch.scores, &batch.ranks);
 
   queries_.Increment();
   rows_.Add(n);

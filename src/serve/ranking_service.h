@@ -182,7 +182,8 @@ struct ServiceStats {
 ///   * a loaded core::PortableRpcModel (the {alpha, mins, maxs, control
 ///     points} white box from core/model_io),
 ///   * its validated curve plus the per-curve state opt::ProjectionWorkspace
-///     precomputes at bind time (hodograph, coefficient-major power basis),
+///     precomputes at bind time (coefficient-major power basis, the
+///     distance polynomial q(s) = ||f(s)||^2),
 ///   * a pool of workspaces bound to that curve (BindShared, so the model
 ///     outlives any swap/evict while checked out), sized to the thread pool.
 ///

@@ -1060,6 +1060,17 @@ Status StreamingRanker::ApplyReplayRecordLocked(
       Vector row(d_);
       for (int j = 0; j < d_; ++j) row[j] = cursor.F64();
       if (!cursor.ok() || cursor.remaining() != 0) break;
+      // Append rejects these, but a log written before that check (or by
+      // another writer) may hold one; applying it would poison the online
+      // normaliser and freeze every later refresh.
+      for (int j = 0; j < d_; ++j) {
+        if (!std::isfinite(row[j])) {
+          return Status::DataLoss(StrFormat(
+              "recovery: append record at seq %llu has non-finite "
+              "attribute %d (%g)",
+              static_cast<unsigned long long>(record.seq), j, row[j]));
+        }
+      }
       event.row = std::move(row);
       next_row_id_ = std::max(next_row_id_, event.row_id + 1);
       // The same apply path ingestion uses: identical arithmetic on an

@@ -100,7 +100,6 @@ TEST(ProjectionAllocationTest, ProjectLocalIsAllocationFree) {
         ProjectionMethod::kNewton}) {
     ProjectionOptions options;
     options.method = method;
-    options.enable_local_refinement = true;  // ProjectLocal needs hodographs
     ProjectionWorkspace workspace;
     workspace.Bind(curve, options);
     // Seed per-row s from a full projection outside the measured region.

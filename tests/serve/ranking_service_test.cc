@@ -13,6 +13,7 @@
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
 #include "order/orientation.h"
+#include "rank/ranking_list.h"
 
 namespace rpc::serve {
 namespace {
@@ -204,6 +205,34 @@ TEST(RankingServiceTest, RanksAreTheWithinBatchOrder) {
       }
     }
     EXPECT_EQ(batch->ranks[static_cast<size_t>(i)], better + 1) << "row " << i;
+  }
+}
+
+TEST(RankingServiceTest, RanksEqualRankingListPositionsUnderTies) {
+  RankingService service;
+  ASSERT_TRUE(service.RegisterDataset("d", MonotoneModel(3, 21)).ok());
+  Rng rng(22);
+  for (const int n : {1, 2, 3, 7, 64, 513, 4096}) {
+    Matrix rows = RandomRows(n, 3, 100 + static_cast<uint64_t>(n));
+    // Forced ties: a third of the rows copy another row (identical scores),
+    // and rows past the far or near corner saturate to s = 1 or s = 0.
+    for (int i = 0; i < n / 3; ++i) {
+      const int from = static_cast<int>(rng.Uniform(0.0, n - 0.5));
+      const int to = static_cast<int>(rng.Uniform(0.0, n - 0.5));
+      for (int j = 0; j < 3; ++j) rows(to, j) = rows(from, j);
+    }
+    for (int i = 0; i < n / 8; ++i) {
+      const int row = static_cast<int>(rng.Uniform(0.0, n - 0.5));
+      for (int j = 0; j < 3; ++j) rows(row, j) = (i % 2 == 0) ? 2.0 : -1.0;
+    }
+    const auto batch = service.ScoreBatch("d", rows);
+    ASSERT_TRUE(batch.ok());
+    ASSERT_EQ(static_cast<int>(batch->ranks.size()), n);
+    const rank::RankingList list(batch->scores, /*higher_is_better=*/true);
+    for (int i = 0; i < n; ++i) {
+      ASSERT_EQ(batch->ranks[static_cast<size_t>(i)], list.PositionOf(i))
+          << "n " << n << " row " << i;
+    }
   }
 }
 

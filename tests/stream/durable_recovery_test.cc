@@ -9,9 +9,11 @@
 // inline), so a run is a deterministic function of its op sequence and the
 // crashed/uncrashed comparison is exact rather than statistical.
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <string>
 #include <vector>
@@ -19,6 +21,8 @@
 #include <gtest/gtest.h>
 
 #include "data/generators.h"
+#include "durable/codec.h"
+#include "durable/event_log.h"
 #include "durable/fault_injector.h"
 #include "linalg/matrix.h"
 #include "linalg/vector.h"
@@ -399,6 +403,119 @@ TEST(DurableRecoveryLifecycleTest, RecoverGuardsItsPreconditions) {
     ranker.Stop();
     RemoveDir(dir);
   }
+}
+
+// A crash image of a durable ranker that started on `raw` and acked a few
+// appends; returns the sequence number of its last WAL record.
+std::uint64_t WriteCrashImage(const Matrix& raw, const Orientation& alpha,
+                              const StreamingRankerOptions& options,
+                              const std::string& image) {
+  const std::string live_dir = options.durability.dir;
+  std::uint64_t last_seq = 0;
+  {
+    StreamingRanker ranker(nullptr, "live", options);
+    EXPECT_TRUE(ranker.Start(raw, alpha).ok());
+    for (int i = 0; i < 4; ++i) EXPECT_TRUE(ranker.Append(raw.Row(i)).ok());
+    EXPECT_TRUE(ranker.Flush().ok());
+    CopyDir(live_dir, image);  // frozen before the clean-shutdown snapshot
+    ranker.Stop();
+  }
+  const auto replayed = durable::ReplayEventLog(
+      image, raw.cols(), 0,
+      [](const durable::ReplayRecord&) { return Status::Ok(); });
+  EXPECT_TRUE(replayed.ok());
+  if (replayed.ok()) last_seq = replayed->last_seq;
+  EXPECT_GT(last_seq, 0u);
+  return last_seq;
+}
+
+// An append payload (row id, then the d raw attributes) whose attribute 1
+// is `bad`.
+std::string AppendPayload(const Vector& row, double bad) {
+  std::string payload;
+  durable::PutI64(&payload, 1000);
+  for (int j = 0; j < row.size(); ++j) {
+    durable::PutF64(&payload, j == 1 ? bad : row[j]);
+  }
+  return payload;
+}
+
+TEST(DurableRecoveryLifecycleTest, RecoverRejectsNonFiniteAppendRecord) {
+  const Orientation alpha = *Orientation::FromSigns({+1, -1, +1});
+  const Matrix raw = RawFixture(alpha, 30, 17);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    const std::string live = MakeTempDir("nonfinite_live");
+    const std::string image = live + "_image";
+    StreamingRankerOptions options = SerialOptions();
+    options.durability.dir = live;
+    options.durability.snapshot_every_events = 0;
+    const std::uint64_t last_seq = WriteCrashImage(raw, alpha, options, image);
+
+    // A record Append would now refuse, as a log written before that check
+    // holds it: after the snapshot, so Recover must replay it.
+    {
+      auto log = durable::EventLog::Open(image, raw.cols(), last_seq + 1, {});
+      ASSERT_TRUE(log.ok()) << log.status().ToString();
+      EXPECT_EQ((*log)->Append(durable::RecordType::kAppend,
+                               AppendPayload(raw.Row(5), bad)),
+                last_seq + 1);
+      ASSERT_TRUE((*log)->Sync().ok());
+    }
+
+    options.durability.dir = image;
+    StreamingRanker recovered(nullptr, "live", options);
+    const Status status = recovered.Recover();
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+    EXPECT_NE(status.message().find(
+                  "seq " + std::to_string(last_seq + 1)),
+              std::string::npos)
+        << status.message();
+    EXPECT_NE(status.message().find("attribute 1"), std::string::npos)
+        << status.message();
+    RemoveDir(live);
+    RemoveDir(image);
+  }
+}
+
+TEST(DurableRecoveryLifecycleTest, FollowerApplyRejectsNonFiniteAppendRecord) {
+  const Orientation alpha = *Orientation::FromSigns({+1, +1, -1});
+  const Matrix raw = RawFixture(alpha, 30, 19);
+  const std::string live = MakeTempDir("nonfinite_follower");
+  const std::string image = live + "_image";
+  StreamingRankerOptions options = SerialOptions();
+  options.durability.dir = live;
+  options.durability.snapshot_every_events = 0;
+  const std::uint64_t last_seq = WriteCrashImage(raw, alpha, options, image);
+
+  options.durability.dir = image;
+  StreamingRanker follower(nullptr, "standby", options);
+  ASSERT_TRUE(follower.RecoverAsFollower().ok());
+  const StreamingRanker::Snapshot before = follower.snapshot();
+
+  const std::string poisoned =
+      AppendPayload(raw.Row(5), std::numeric_limits<double>::quiet_NaN());
+  durable::ReplayRecord record;
+  record.seq = last_seq + 1;
+  record.type = durable::RecordType::kAppend;
+  record.payload = poisoned;
+  const Status status = follower.ApplyFollowerRecord(record);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status.ToString();
+  EXPECT_NE(status.message().find("attribute 1"), std::string::npos)
+      << status.message();
+  ExpectSnapshotsBitIdentical(follower.snapshot(), before,
+                              "after the rejected record");
+
+  // The rejected record did not consume its offset: a finite record at the
+  // same seq applies.
+  const std::string finite = AppendPayload(raw.Row(5), raw(5, 1));
+  record.payload = finite;
+  EXPECT_TRUE(follower.ApplyFollowerRecord(record).ok());
+  EXPECT_EQ(follower.snapshot().row_ids.size(), before.row_ids.size() + 1);
+  follower.Stop();
+  RemoveDir(live);
+  RemoveDir(image);
 }
 
 }  // namespace
